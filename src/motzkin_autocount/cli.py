@@ -18,6 +18,7 @@ from .guesser import GuessConfig, guess_algebraic, verify_guess
 from .numeric_dp import DPTable, SpecError, sequence
 from .oracle import (
     OracleGuardError,
+    _check_guard,
     count_restricted,
     list_restricted,
     oracle_guard,
@@ -154,6 +155,7 @@ def _cmd_oracle(args) -> int:
             for p in paths:
                 print(p)
         return EXIT_OK
+    _check_guard(args.N)
     counts = [count_restricted(n, spec) for n in range(args.N + 1)]
     if args.format == "json":
         _emit_json({"command": "oracle", "spec": spec.describe(), "N": args.N,

@@ -25,15 +25,95 @@ The count of restricted paths of length n is down(n, 0) + flat(n, 0); the
 height-0 seed down(0, 0) = 1 doubles as the path start, which is why this
 route rejects specs forbidding peak or valley height 0 (the symbolic engine
 covers those).
+
+Each recurrence is a run sum  T(m, n) = sum_{r >= 1, r not in R} g(m-r, n+s*r)
+with slope s = +1 for down, -1 for up and 0 for the three flat tables.  The
+fill does not add it up term by term.  With the running sums along the slope
+
+    S_d(m, n) = g(m, n) + S_d(m-d, n+s*d)        (0 outside the table)
+
+the sum over every r >= 1 is S_1(m-1, n+s), and the progression
+{off + d*j : j >= 0} contributes S_d(m-off, n+s*off).  The canonical StepSet
+form splits R into progressions that share one stride d and lie in distinct
+residue classes mod d, plus finite elements that no progression covers, so
+R is a disjoint union (of run lengths >= 1, since run-length sets exclude 0)
+and
+
+    T(m, n) = S_1(m-1, n+s) - sum_{(d, off)} S_d(m-off, n+s*off)
+                            - sum_{f finite} g(m-f, n+s*f)
+
+subtracts every forbidden run length exactly once.  A cell costs
+O(1 + |finite| + |progressions|), so N rows cost O(N^2 * (1 + |finite| +
+|progressions|)) big-integer additions instead of the O(N^3) of the direct
+sum.  The peak and valley filters are boolean masks over heights, grown with
+the rows, so the fill tests set membership twice per row rather than per
+cell.  Only the last max(1, d, every offset, every finite element) rows of
+each running sum and of each g are kept; the five base tables are kept in
+full.
 """
 
 from __future__ import annotations
+
+from collections import deque
+from operator import add, sub
 
 from .stepset import RestrictionSpec, StepSet
 
 
 class SpecError(ValueError):
     """Spec outside this engine's domain."""
+
+
+def _back(rows: deque, k: int, slope: int, width: int) -> list[int] | None:
+    """Row m-k of a table read along the slope, aligned with row m.
+
+    rows ends at row m-1.  Entry n of the result is the cell
+    (m-k, n + slope*k), or 0 where that height is outside 0..m-k; the result
+    is None when m-k < 0.
+    """
+    if k > len(rows):
+        return None
+    row = rows[-k]
+    if slope == 0:
+        return row + [0] * k
+    if slope < 0:
+        return [0] * k + row
+    tail = row[k:]
+    return tail + [0] * (width - len(tail))
+
+
+class _RunSum:
+    """Rows of T(m, n) = sum_{r >= 1, r not in R} g(m-r, n+slope*r).
+
+    Call row(m) for the next row, then push the row m of g, which may depend
+    on row m of this and the other tables.
+    """
+
+    def __init__(self, runs: StepSet, slope: int):
+        self.slope = slope
+        self.finite = runs.finite
+        self.aps = runs.aps
+        window = max((1, *runs.finite, *(v for ap in runs.aps for v in ap)))
+        self.g: deque[list[int]] = deque(maxlen=window)
+        self.sums = {d: deque(maxlen=window) for d in {1, *(d for d, _ in runs.aps)}}
+
+    def row(self, m: int) -> list[int]:
+        width = m + 1
+        acc = _back(self.sums[1], 1, self.slope, width) or [0] * width
+        terms = [(self.sums[d], off) for d, off in self.aps]
+        terms += [(self.g, f) for f in self.finite]
+        for rows, k in terms:
+            term = _back(rows, k, self.slope, width)
+            if term is not None:
+                acc = list(map(sub, acc, term))
+        return acc
+
+    def push(self, g_row: list[int]) -> None:
+        width = len(g_row)
+        for d, rows in self.sums.items():
+            prev = _back(rows, d, self.slope, width)
+            rows.append(g_row if prev is None else list(map(add, g_row, prev)))
+        self.g.append(g_row)
 
 
 class DPTable:
@@ -52,6 +132,14 @@ class DPTable:
         self._flat: list[list[int]] = []
         self._flat_up: list[list[int]] = []
         self._flat_down: list[list[int]] = []
+        # entry n: is n a forbidden peak / valley height
+        self._peak: list[bool] = []
+        self._valley: list[bool] = []
+        self._sum_down = _RunSum(spec.down_runs, 1)
+        self._sum_up = _RunSum(spec.up_runs, -1)
+        self._sum_flat = _RunSum(spec.flat_runs, 0)
+        self._sum_flat_up = _RunSum(spec.flat_runs, 0)
+        self._sum_flat_down = _RunSum(spec.flat_runs, 0)
 
     # filtered reads ----------------------------------------------------
 
@@ -98,64 +186,24 @@ class DPTable:
             self._fill_row(len(self._down))
 
     def _fill_row(self, m: int) -> None:
+        row_d = self._sum_down.row(m)
         if m == 0:
-            self._up.append([0])
-            self._down.append([1])
-            self._flat.append([0])
-            self._flat_up.append([0])
-            self._flat_down.append([0])
-            return
+            row_d[0] = 1  # the empty walk
+        row_u = self._sum_up.row(m)
+        row_f = self._sum_flat.row(m)
+        row_fu = self._sum_flat_up.row(m)
+        row_fd = self._sum_flat_down.row(m)
 
-        spec = self.spec
-        up_rows, down_rows = self._up, self._down
-        fu_rows, fd_rows = self._flat_up, self._flat_down
-        peaks, valleys = spec.peaks, spec.valleys
+        self._peak.append(m in self.spec.peaks)
+        self._valley.append(m in self.spec.valleys)
+        row_ud = [0 if banned else v for banned, v in zip(self._peak, row_u)]
+        row_du = [0 if banned else v for banned, v in zip(self._valley, row_d)]
 
-        def ud(mm: int, nn: int) -> int:
-            if nn > mm or nn in peaks:
-                return 0
-            return up_rows[mm][nn]
-
-        def du(mm: int, nn: int) -> int:
-            if nn > mm or nn in valleys:
-                return 0
-            return down_rows[mm][nn]
-
-        up_ok = [r for r in range(1, m + 1) if r not in spec.up_runs]
-        down_ok = [r for r in range(1, m + 1) if r not in spec.down_runs]
-        flat_ok = [r for r in range(1, m + 1) if r not in spec.flat_runs]
-
-        row_u = [0] * (m + 1)
-        row_d = [0] * (m + 1)
-        row_f = [0] * (m + 1)
-        row_fu = [0] * (m + 1)
-        row_fd = [0] * (m + 1)
-
-        for n in range(m + 1):
-            acc = 0
-            for r in down_ok:
-                mm, nn = m - r, n + r
-                if nn <= mm:
-                    acc += ud(mm, nn) + fd_rows[mm][nn]
-            row_d[n] = acc
-
-            acc = 0
-            for r in up_ok:
-                mm, nn = m - r, n - r
-                if 0 <= nn <= mm:
-                    acc += du(mm, nn) + fu_rows[mm][nn]
-            row_u[n] = acc
-
-            acc_f = acc_fu = acc_fd = 0
-            for r in flat_ok:
-                mm = m - r
-                if n <= mm:
-                    acc_f += down_rows[mm][n] + up_rows[mm][n]
-                    acc_fu += up_rows[mm][n] + du(mm, n)
-                    acc_fd += ud(mm, n) + down_rows[mm][n]
-            row_f[n] = acc_f
-            row_fu[n] = acc_fu
-            row_fd[n] = acc_fd
+        self._sum_down.push(list(map(add, row_ud, row_fd)))
+        self._sum_up.push(list(map(add, row_du, row_fu)))
+        self._sum_flat.push(list(map(add, row_d, row_u)))
+        self._sum_flat_up.push(list(map(add, row_u, row_du)))
+        self._sum_flat_down.push(list(map(add, row_ud, row_d)))
 
         self._up.append(row_u)
         self._down.append(row_d)

@@ -161,4 +161,5 @@ def count_restricted(n: int, spec: RestrictionSpec) -> int:
 
 def oracle_sequence(spec: RestrictionSpec, n: int) -> list[int]:
     """Counts for lengths 0..n by direct enumeration."""
+    _check_guard(n)
     return [count_restricted(m, spec) for m in range(n + 1)]

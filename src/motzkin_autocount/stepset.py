@@ -140,9 +140,6 @@ class StepSet:
     def canonical_key(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
         return (self.finite, self.aps)
 
-    def is_finite(self) -> bool:
-        return not self.aps
-
     def remove_zero(self) -> "StepSet":
         """The same set with 0 taken out."""
         fin = tuple(v for v in self.finite if v != 0)
@@ -168,9 +165,6 @@ class StepSet:
         for stride, off in self.aps:
             out.update(range(off, bound + 1, stride))
         return sorted(out)
-
-    def all_positive(self) -> bool:
-        return 0 not in self
 
 
 EMPTY = StepSet()

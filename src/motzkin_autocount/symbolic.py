@@ -44,7 +44,7 @@ from .algebra import (
 )
 from .guesser import HOLDOUT, GuessConfig, guess_algebraic
 from .numeric_dp import DPTable
-from .oracle import enumerate_motzkin, oracle_guard, oracle_sequence
+from .oracle import OracleGuardError, enumerate_motzkin, oracle_guard, oracle_sequence
 from .stepset import EMPTY, RestrictionSpec, StepSet
 
 ROOT = "P"
@@ -506,7 +506,7 @@ def _reference(spec: RestrictionSpec, n: int, seen: set) -> list[int]:
 
     def oracle_fallback() -> list[int]:
         if n > oracle_guard():
-            raise RuntimeError(
+            raise OracleGuardError(
                 "this spec needs the brute-force oracle beyond its guard; "
                 "raise MOTZKIN_ORACLE_GUARD to proceed"
             )

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from motzkin_autocount import cli, fab, fcde, parse_stepset, poly_text
+from motzkin_autocount import RestrictionSpec, cli, fab, fcde, parse_stepset, poly_text
 
 FAB_GOLDENS = {
     "odd_odd": (
@@ -44,6 +44,20 @@ FCDE_GOLDENS = {
         "(x^6-x^5-x^4)*P^3 + (-x^2+1)*P + x^2 - x - 1",
     ),
 }
+
+
+@pytest.fixture(scope="session")
+def golden_equations():
+    """(spec, expected equation text) of every golden, derived by nothing."""
+    out = []
+    for (A, B), want in FAB_GOLDENS.values():
+        spec = RestrictionSpec(peaks=parse_stepset(A), valleys=parse_stepset(B))
+        out.append((spec, want))
+    for (C, D, E), want in FCDE_GOLDENS.values():
+        spec = RestrictionSpec(up_runs=parse_stepset(C), down_runs=parse_stepset(D),
+                               flat_runs=parse_stepset(E))
+        out.append((spec, want))
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from motzkin_autocount import cli
+from motzkin_autocount import cli, enumerate_motzkin
 
 MOTZKIN_LINE = "1,1,2,4,9,21,51,127,323,835,2188"
 
@@ -82,9 +82,12 @@ def test_oracle_json_paths(run_cli):
 
 def test_oracle_respects_the_guard(run_cli, monkeypatch):
     monkeypatch.setenv("MOTZKIN_ORACLE_GUARD", "8")
+    before = enumerate_motzkin.cache_info()
     rc, _, err = run_cli("oracle", "--N", "25")
     assert rc == 1
     assert "MOTZKIN_ORACLE_GUARD" in err
+    # refused before enumerating any length
+    assert enumerate_motzkin.cache_info() == before
 
 
 def test_guess_motzkin(run_cli):
@@ -106,6 +109,13 @@ def test_guess_not_found_exit_code(run_cli):
                          "--maxp", "2", "--maxx", "2")
     assert rc == 3
     assert out == "NOT_FOUND\n"
+
+
+def test_guess_past_the_oracle_guard_is_a_domain_error(run_cli):
+    # a height-0 valley under run restrictions needs the oracle for N terms
+    rc, out, err = run_cli("guess", "--B", "{0}", "--C", "{1}", "--N", "30")
+    assert (rc, out) == (1, "")
+    assert "MOTZKIN_ORACLE_GUARD" in err
 
 
 def test_guess_insufficient_terms(run_cli):

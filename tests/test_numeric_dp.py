@@ -8,14 +8,19 @@ from hypothesis import strategies as st
 
 from motzkin_autocount import (
     DPTable,
+    MPoly,
     RestrictionSpec,
+    Series,
     SpecError,
     StepSet,
     motzkin_numbers,
     oracle_sequence,
     parse_stepset,
+    poly_text,
     sequence,
+    series_vanishes,
 )
+from motzkin_autocount.algebra import make_ring
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786,
            208012, 742900, 2674440, 9694845]
@@ -87,12 +92,31 @@ def test_counts_never_negative_and_bounded_by_motzkin():
 
 def test_seeded_battery_matches_oracle():
     rng = random.Random(99)
-    pool = ["{}", "{1}", "{2}", "{1,2}", "{3}", "{2*r+1}", "{2*r+2}", "{r+2}"]
-    for _ in range(12):
+    # the last five exercise each term of the running-sum identity: finite
+    # elements beside a stride-2/3/4 progression, a large offset, and every
+    # run length forbidden
+    pool = ["{}", "{1}", "{2}", "{1,2}", "{3}", "{2*r+1}", "{2*r+2}", "{r+2}",
+            "{3*r+1,2}", "{4*r+2,1,5}", "{2*r+1,4}", "{r+3}", "{r+1}"]
+    run_sets = set()
+    for _ in range(20):
         A, B = rng.choice(pool), rng.choice(pool)
         C, D, E = (rng.choice(pool) for _ in range(3))
+        run_sets |= {C, D, E}
         s = spec(A, B, C, D, E)
         assert sequence(s, 10) == oracle_sequence(s, 10), s.describe()
+    assert run_sets == set(pool)
+
+
+def test_long_sequences_satisfy_the_pinned_equations(golden_equations):
+    # checks the fill far past the oracle's reach (about length 18), where
+    # every look-back window is full
+    ring = make_ring("P", "x")
+    names = {"P": MPoly.var(ring, "P"), "x": MPoly.var(ring, "x")}
+    pinned = [(spec(), "x^2*P^2 + (x-1)*P + 1"), (spec(E="{r+1}"), "x^2*P^2 - P + 1")]
+    for s, text in pinned + golden_equations:
+        F = eval(text.replace("^", "**"), names)
+        assert poly_text(F) == text
+        assert series_vanishes(F, Series.from_values(sequence(s, 200))), s.describe()
 
 
 @settings(max_examples=25, deadline=None)

@@ -133,6 +133,14 @@ def test_guard_default_and_override(monkeypatch):
     assert count_restricted(5, spec()) == MOTZKIN[5]
 
 
+def test_oracle_sequence_checks_the_guard_before_enumerating(monkeypatch):
+    monkeypatch.setenv("MOTZKIN_ORACLE_GUARD", "5")
+    before = enumerate_motzkin.cache_info()
+    with pytest.raises(OracleGuardError):
+        oracle_sequence(spec(), 12)
+    assert enumerate_motzkin.cache_info() == before
+
+
 @settings(max_examples=40)
 @given(st.integers(0, 8), st.data())
 def test_admitted_paths_avoid_every_forbidden_feature(n, data):
