@@ -2,15 +2,14 @@
 
 Runs the numeric counts, the symbolic derivations, and the guesser over the
 full set of built-in jobs and prints what the test suite pins as goldens.
-The one genuinely slow derivation (all three run sets equal to {1}) is
-skipped unless --all is given.
+
+    PYTHONPATH=src python scripts/reproduce_outputs.py
 """
 
 from __future__ import annotations
 
-import argparse
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from motzkin_autocount import (
     GuessConfig,
@@ -31,7 +30,6 @@ class Job:
     literals: tuple[str, ...]
     n: int = 0
     bounds: tuple[int, int] = (0, 0)
-    slow: bool = field(default=False, compare=False)
 
 
 JOBS = [
@@ -45,7 +43,7 @@ JOBS = [
     Job("fcde down/flat {1}", "fcde", ("{}", "{1}", "{1}")),
     Job("fcde all odd", "fcde", ("{2*r+1}", "{2*r+1}", "{2*r+1}")),
     Job("fcde odd up, even flat", "fcde", ("{2*r+1}", "{}", "{2*r+2}")),
-    Job("fcde all {1}", "fcde", ("{1}", "{1}", "{1}"), slow=True),
+    Job("fcde all {1}", "fcde", ("{1}", "{1}", "{1}")),
     Job("guess motzkin", "guess", ("{}",) * 5, n=24, bounds=(2, 2)),
     Job("guess odd heights", "guess",
         ("{2*r+1}", "{2*r+1}", "{}", "{}", "{}"), n=39, bounds=(2, 4)),
@@ -66,16 +64,8 @@ def run(job: Job) -> str:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--all", action="store_true",
-                    help="include the slow derivations (about a minute extra)")
-    args = ap.parse_args()
-
     total = time.perf_counter()
     for job in JOBS:
-        if job.slow and not args.all:
-            print(f"{job.name:28s} skipped (enable with --all)")
-            continue
         t0 = time.perf_counter()
         out = run(job)
         dt = time.perf_counter() - t0

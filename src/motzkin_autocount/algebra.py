@@ -1,12 +1,24 @@
-"""Exact polynomial and power-series kernel on stdlib rationals.
+"""Exact polynomial and power-series kernel on stdlib integers and rationals.
 
-Provides sparse multivariate polynomials over Fraction with a fixed
-variable tuple per ring (pure lexicographic order, first name biggest),
-dense univariate helpers, Sylvester resultants via fraction-free
-determinants, reduced lex Groebner bases, variable elimination down to a
-single bivariate relation, and truncated power-series utilities including
-solving a polynomial equation for its unique series root given a
-disambiguating prefix.
+Provides sparse multivariate polynomials with a fixed variable tuple per
+ring (pure lexicographic order, first name biggest), dense univariate
+helpers, Sylvester resultants via fraction-free determinants, reduced lex
+Groebner bases, variable elimination down to a single bivariate relation,
+and truncated power-series utilities including solving a polynomial
+equation for its unique series root given a disambiguating prefix.
+
+Coefficients are Python ints wherever they are integral, which covers all
+of elimination; a Fraction appears only where a true rational does
+(Groebner S-polynomials and normal forms, the Euclidean algorithm over Q in
+sqfree_part, rational guesser input).  Each exponent vector is packed into
+one int of SLOT_BITS bits per variable, the first ring variable in the most
+significant slot, so integer order on packed keys is lex order on exponent
+tuples and multiplying monomials is adding keys.  The top bit of every slot
+is a guard bit: an exponent may be at most MAX_EXP, a construction or
+product that would exceed it raises AlgebraError instead of carrying into
+the next slot, and a key difference that is negative or has a guard bit
+set marks a monomial that does not divide another.  ``MPoly.terms`` is a
+read-only view of the terms keyed by exponent tuples.
 
 Canonical published form for a polynomial: integer coefficients, content 1,
 and positive coefficient on the lexicographically leading term.
@@ -14,6 +26,7 @@ and positive coefficient on the lexicographically leading term.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -24,6 +37,10 @@ Exps = tuple[int, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+SLOT_BITS = 16
+MAX_EXP = (1 << (SLOT_BITS - 1)) - 1
+_SLOT_MASK = (1 << SLOT_BITS) - 1
 
 
 class AlgebraError(ArithmeticError):
@@ -46,97 +63,174 @@ def _as_fraction(c) -> Fraction:
     raise TypeError(f"coefficients must be int or Fraction, got {type(c).__name__}")
 
 
+def _coeff(c) -> int | Fraction:
+    """A coefficient as an int when integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = _as_fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+# packed exponent vectors ----------------------------------------------------
+
+
+def _guard(k: int) -> int:
+    """The guard bit of each slot of a k-variable key."""
+    return ((1 << (SLOT_BITS * k)) - 1) // _SLOT_MASK << (SLOT_BITS - 1)
+
+
+def _shift(ring: Ring, name: str) -> int:
+    return SLOT_BITS * (len(ring) - 1 - ring.index(name))
+
+
+def _pack(exps: Exps, k: int) -> int:
+    if len(exps) != k:
+        raise AlgebraError(f"{len(exps)} exponents for a ring of {k} variables")
+    key = 0
+    for x in exps:
+        if not 0 <= x <= MAX_EXP:
+            raise AlgebraError(f"exponent {x} is outside 0..{MAX_EXP}")
+        key = key << SLOT_BITS | x
+    return key
+
+
+def _unpack(key: int, k: int) -> Exps:
+    return tuple(key >> s & _SLOT_MASK for s in range(SLOT_BITS * (k - 1), -1, -SLOT_BITS))
+
+
+def _divides(a: int, b: int, guard: int) -> bool:
+    """Does monomial a divide monomial b (packed keys of one ring)?"""
+    d = b - a
+    return d >= 0 and not d & guard
+
+
+def _addmul(acc: dict, a: dict, b: dict) -> None:
+    """acc += a*b on packed terms; acc may hold zeros until _finish."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = acc.get
+    items = b.items()
+    for e1, c1 in a.items():
+        for e2, c2 in items:
+            e = e1 + e2
+            acc[e] = get(e, 0) + c1 * c2
+
+
+def _finish(acc: dict, k: int) -> dict:
+    """acc without zero coefficients; raises if a sum of keys overflowed.
+
+    Valid keys leave every guard bit clear, so adding two of them cannot
+    carry out of a slot, and an exponent above MAX_EXP shows as a guard bit.
+    """
+    spread = 0
+    out = {}
+    for e, c in acc.items():
+        spread |= e
+        if c:
+            out[e] = c
+    if spread & _guard(k):
+        raise AlgebraError(f"an exponent exceeds the limit {MAX_EXP}")
+    return out
+
+
+def _make(ring: Ring, t: dict) -> "MPoly":
+    """An MPoly over packed terms that are already valid and nonzero."""
+    p = object.__new__(MPoly)
+    p.ring = ring
+    p._t = t
+    return p
+
+
 class MPoly:
     """Sparse polynomial over Q bound to an ordered variable tuple.
 
     The ring tuple lists variables from lexicographically biggest to
-    smallest, so exponent tuples compare directly.
+    smallest.  Terms are stored as {packed exponent key: coefficient};
+    ``terms`` shows them keyed by exponent tuples, and the constructor
+    takes that form.  Instances are treated as immutable.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "_t")
 
-    def __init__(self, ring: Ring, terms: dict[Exps, Fraction] | None = None):
+    def __init__(self, ring: Ring, terms: Mapping[Exps, int | Fraction] | None = None):
+        k = len(ring)
+        packed = {}
+        for e, c in (terms or {}).items():
+            c = _coeff(c)
+            if c:
+                packed[_pack(e, k)] = c
         self.ring = ring
-        self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
+        self._t = packed
 
     # construction -------------------------------------------------------
 
     @staticmethod
     def zero(ring: Ring) -> "MPoly":
-        return MPoly(ring, {})
+        return _make(ring, {})
 
     @staticmethod
     def const(ring: Ring, c) -> "MPoly":
-        c = _as_fraction(c)
-        return MPoly(ring, {(0,) * len(ring): c} if c else {})
+        c = _coeff(c)
+        return _make(ring, {0: c} if c else {})
 
     @staticmethod
     def var(ring: Ring, name: str) -> "MPoly":
-        i = ring.index(name)
-        e = [0] * len(ring)
-        e[i] = 1
-        return MPoly(ring, {tuple(e): ONE})
+        return _make(ring, {1 << _shift(ring, name): 1})
 
     # predicates and views -------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[Exps, int | Fraction]:
+        """Read-only view keyed by exponent tuples; its len() is O(1)."""
+        return _TermsView(self)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def is_constant(self) -> bool:
-        return all(all(x == 0 for x in e) for e in self.terms)
-
-    def constant_value(self) -> Fraction:
-        return self.terms.get((0,) * len(self.ring), ZERO)
+        return not self._t or (len(self._t) == 1 and 0 in self._t)
 
     def degree(self, name: str) -> int:
-        if not self.terms:
+        if not self._t:
             return -1
-        i = self.ring.index(name)
-        return max(e[i] for e in self.terms)
+        s = _shift(self.ring, name)
+        return max(e >> s & _SLOT_MASK for e in self._t)
 
     def variables(self) -> set[str]:
-        used = set()
-        for e in self.terms:
-            for i, x in enumerate(e):
-                if x:
-                    used.add(self.ring[i])
-        return used
+        spread = 0
+        for e in self._t:
+            spread |= e
+        return {v for v, x in zip(self.ring, _unpack(spread, len(self.ring))) if x}
 
-    def lt(self) -> tuple[Exps, Fraction]:
-        e = max(self.terms)
-        return e, self.terms[e]
+    def lt(self) -> tuple[Exps, int | Fraction]:
+        e = max(self._t)
+        return _unpack(e, len(self.ring)), self._t[e]
 
     def as_coeff_map(self, name: str) -> dict[int, "MPoly"]:
         """Coefficients by degree in one variable; that slot is zeroed."""
-        i = self.ring.index(name)
-        out: dict[int, dict[Exps, Fraction]] = {}
-        for e, c in self.terms.items():
-            d = e[i]
-            rest = e[:i] + (0,) + e[i + 1:]
-            out.setdefault(d, {})[rest] = out.get(d, {}).get(rest, ZERO) + c
-        return {d: MPoly(self.ring, t) for d, t in out.items() if any(v for v in t.values())}
+        s = _shift(self.ring, name)
+        out: dict[int, dict] = {}
+        for e, c in self._t.items():
+            d = e >> s & _SLOT_MASK
+            out.setdefault(d, {})[e - (d << s)] = c
+        return {d: _make(self.ring, t) for d, t in out.items()}
 
     def restrict(self, ring2: Ring) -> "MPoly":
-        """Rebind onto a subring; fails if a dropped variable is used."""
-        idx = []
-        for name in self.ring:
-            idx.append(ring2.index(name) if name in ring2 else None)
-        terms: dict[Exps, Fraction] = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(ring2)
-            for i, x in enumerate(e):
-                if x == 0:
-                    continue
-                if idx[i] is None:
-                    raise AlgebraError(f"variable {self.ring[i]} is used but absent from target ring")
-                ne[idx[i]] += x
-            key = tuple(ne)
-            terms[key] = terms.get(key, ZERO) + c
-        return MPoly(ring2, terms)
-
-    def extend(self, ring2: Ring) -> "MPoly":
-        """Rebind onto a superset ring."""
-        return self.restrict(ring2)
+        """Rebind onto another ring; fails if a dropped variable is used."""
+        if ring2 == self.ring:
+            return self
+        k = len(self.ring)
+        targets = [_shift(ring2, v) if v in ring2 else None for v in self.ring]
+        terms = {}
+        for e, c in self._t.items():
+            key = 0
+            for i, x in enumerate(_unpack(e, k)):
+                if x:
+                    if targets[i] is None:
+                        raise AlgebraError(f"variable {self.ring[i]} is used but absent from target ring")
+                    key |= x << targets[i]
+            terms[key] = c
+        return _make(ring2, terms)
 
     # arithmetic ----------------------------------------------------------
 
@@ -147,37 +241,40 @@ class MPoly:
             return other
         return MPoly.const(self.ring, other)
 
+    def _plus(self, other, sign: int) -> "MPoly":
+        t = dict(self._t)
+        for e, c in self._coerce(other)._t.items():
+            v = t.get(e, 0) + sign * c
+            if v:
+                t[e] = v
+            else:
+                del t[e]
+        return _make(self.ring, t)
+
     def __add__(self, other) -> "MPoly":
-        other = self._coerce(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, ZERO) + c
-        return MPoly(self.ring, terms)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return MPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        return _make(self.ring, {e: -c for e, c in self._t.items()})
 
     def __sub__(self, other) -> "MPoly":
-        return self + (-self._coerce(other))
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "MPoly":
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "MPoly":
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if c == 0:
-                return MPoly.zero(self.ring)
-            return MPoly(self.ring, {e: c * v for e, v in self.terms.items()})
-        other = self._coerce(other)
-        terms: dict[Exps, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, ZERO) + c1 * c2
-        return MPoly(self.ring, terms)
+        if isinstance(other, MPoly):
+            other = self._coerce(other)
+            acc: dict = {}
+            _addmul(acc, self._t, other._t)
+            return _make(self.ring, _finish(acc, len(self.ring)))
+        c = _coeff(other)
+        if not c:
+            return MPoly.zero(self.ring)
+        return _make(self.ring, {e: c * v for e, v in self._t.items()})
 
     __rmul__ = __mul__
 
@@ -189,8 +286,9 @@ class MPoly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:  # no square beyond the last bit, which could overflow
+                base = base * base
         return out
 
     def __eq__(self, other) -> bool:
@@ -198,24 +296,57 @@ class MPoly:
             other = MPoly.const(self.ring, other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring == other.ring and self._t == other._t
 
     def __hash__(self) -> int:
-        return hash((self.ring, tuple(sorted(self.terms.items()))))
+        return hash((self.ring, tuple(sorted(self._t.items()))))
 
     def __repr__(self) -> str:
         if self.is_zero():
             return "MPoly<0>"
         bits = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
+        for e in sorted(self._t, reverse=True):
+            c = self._t[e]
             mono = "*".join(
                 f"{v}^{x}" if x > 1 else v
-                for v, x in zip(self.ring, e)
+                for v, x in zip(self.ring, _unpack(e, len(self.ring)))
                 if x
             )
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))
         return "MPoly<" + " + ".join(bits) + ">"
+
+
+class _TermsView(Mapping):
+    """The terms of one polynomial keyed by exponent tuples."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: MPoly):
+        self._poly = poly
+
+    def __len__(self) -> int:
+        return len(self._poly._t)
+
+    def __iter__(self):
+        k = len(self._poly.ring)
+        return (_unpack(e, k) for e in self._poly._t)
+
+    def __getitem__(self, exps):
+        try:
+            key = _pack(exps, len(self._poly.ring))
+        except (AlgebraError, TypeError):
+            raise KeyError(exps) from None
+        return self._poly._t[key]
+
+    def items(self):
+        k = len(self._poly.ring)
+        return [(_unpack(e, k), c) for e, c in self._poly._t.items()]
+
+    def values(self):
+        return self._poly._t.values()
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 def make_ring(*names: str) -> Ring:
@@ -231,52 +362,105 @@ def gens(ring: Ring) -> dict[str, MPoly]:
 # polynomial arithmetic helpers ------------------------------------------
 
 
+def _mul_sub(a: MPoly, b: MPoly, c: MPoly, d: MPoly) -> MPoly:
+    """a*b - c*d over one ring, summed in one pass."""
+    if len(c._t) > len(d._t):
+        c, d = d, c
+    acc: dict = {}
+    _addmul(acc, a._t, b._t)
+    _addmul(acc, {e: -v for e, v in c._t.items()}, d._t)
+    return _make(a.ring, _finish(acc, len(a.ring)))
+
+
 def exact_div(f: MPoly, g: MPoly) -> MPoly | None:
-    """The quotient f/g when g divides f exactly, else None."""
+    """The quotient f/g when g divides f exactly, else None.
+
+    The remainder is updated in place, one quotient term at a time.  If f
+    has integer coefficients and g is primitive, Gauss's lemma makes an
+    exact quotient integral, so the first quotient coefficient that is not
+    an integer already proves that g does not divide f.
+    """
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if f.is_zero():
         return MPoly.zero(f.ring)
     if f.ring != g.ring:
         raise AlgebraError("ring mismatch")
-    ge, gc = g.lt()
-    q: dict[Exps, Fraction] = {}
-    rem = f
-    while not rem.is_zero():
-        fe, fc = rem.lt()
-        de = tuple(a - b for a, b in zip(fe, ge))
-        if any(x < 0 for x in de):
+    guard = _guard(len(f.ring))
+    gt = g._t
+    ge = max(gt)
+    gc = gt[ge]
+    tail = [(e - ge, c) for e, c in gt.items() if e != ge]
+    # while g divides f, every quotient term times a term of g stays within
+    # deg(f); otherwise a remainder key may hold a slot above MAX_EXP, but
+    # never a carry (both summands are valid keys), and the guard test
+    # rejects it once it leads
+    rem = dict(f._t)
+    q = {}
+    gauss = None  # may a non-integral quotient coefficient stop the division?
+    while rem:
+        fe = max(rem)
+        fc = rem.pop(fe)
+        de = fe - ge
+        if de < 0 or de & guard:
             return None
-        c = fc / gc
-        q[de] = q.get(de, ZERO) + c
-        rem = rem - MPoly(f.ring, {de: c}) * g
-    return MPoly(f.ring, q)
+        if type(fc) is int and type(gc) is int:
+            c, r = divmod(fc, gc)
+            if r:
+                if gauss is None:
+                    gauss = content(g) == 1 and all(type(v) is int for v in f._t.values())
+                if gauss:
+                    return None
+                c = Fraction(fc, gc)
+        else:
+            c = fc / gc
+        q[de] = c
+        for off, v in tail:
+            e = fe + off
+            nv = rem.get(e, 0) - c * v
+            if nv:
+                rem[e] = nv
+            else:
+                del rem[e]
+    return _make(f.ring, q)
 
 
 def content(f: MPoly) -> Fraction:
     """Positive rational c with f/c integer and coefficient gcd 1 (0 for 0)."""
     if f.is_zero():
         return ZERO
-    nums = [abs(c.numerator) for c in f.terms.values()]
-    dens = [c.denominator for c in f.terms.values()]
-    num = 0
-    for v in nums:
-        num = gcd(num, v)
-    den = 1
-    for v in dens:
-        den = lcm(den, v)
+    num, den = _content(f._t)
     return Fraction(num, den)
+
+
+def _content(t: dict) -> tuple[int, int]:
+    # gcd of numerators and lcm of denominators of reduced coefficients
+    num, den = 0, 1
+    for c in t.values():
+        if type(c) is int:
+            num = gcd(num, c)
+        else:
+            num = gcd(num, c.numerator)
+            den = lcm(den, c.denominator)
+    return num, den
 
 
 def primitive_part(f: MPoly) -> MPoly:
     """Integer-primitive scalar multiple with positive leading coefficient."""
-    if f.is_zero():
+    t = f._t
+    if not t:
         return f
-    c = content(f)
-    _, lead = f.lt()
-    if lead < 0:
-        c = -c
-    return f * (1 / c)
+    num, den = _content(t)
+    if t[max(t)] < 0:
+        num = -num
+    if den == 1:
+        if num == 1 and all(type(c) is int for c in t.values()):
+            return f
+        return _make(f.ring, {e: c // num for e, c in t.items()})
+    return _make(f.ring, {
+        e: (c * den if type(c) is int else c.numerator * (den // c.denominator)) // num
+        for e, c in t.items()
+    })
 
 
 def monomial_content_quotient(f: MPoly, names: Iterable[str] | None = None) -> MPoly:
@@ -290,24 +474,15 @@ def monomial_content_quotient(f: MPoly, names: Iterable[str] | None = None) -> M
     """
     if f.is_zero():
         return f
-    width = len(f.ring)
     allowed = set(f.ring) if names is None else set(names)
-    mins = [
-        min(e[i] for e in f.terms) if f.ring[i] in allowed else 0
-        for i in range(width)
-    ]
-    if not any(mins):
+    low = 0
+    for name in f.ring:
+        if name in allowed:
+            s = _shift(f.ring, name)
+            low |= min(e >> s & _SLOT_MASK for e in f._t) << s
+    if not low:
         return f
-    terms = {tuple(a - m for a, m in zip(e, mins)): c for e, c in f.terms.items()}
-    return MPoly(f.ring, terms)
-
-
-def poly_add(f: MPoly, g: MPoly) -> MPoly:
-    return f + g
-
-
-def poly_mul(f: MPoly, g: MPoly) -> MPoly:
-    return f * g
+    return _make(f.ring, {e - low: c for e, c in f._t.items()})
 
 
 # dense univariate helpers (little-endian Fraction lists) ------------------
@@ -387,24 +562,21 @@ def _usqfree(a: Sequence[Fraction]) -> list[Fraction]:
 
 
 def _mpoly_to_upoly(f: MPoly, name: str) -> list[Fraction]:
-    i = f.ring.index(name)
+    s = _shift(f.ring, name)
     out = [ZERO] * (f.degree(name) + 1 if not f.is_zero() else 0)
-    for e, c in f.terms.items():
-        if any(x for j, x in enumerate(e) if j != i and x):
+    for e, c in f._t.items():
+        d = e >> s
+        if e != d << s:
             raise AlgebraError("polynomial is not univariate in " + name)
-        out[e[i]] += c
+        out[d] += c
     return _utrim(out)
 
 
 def _upoly_to_mpoly(u: Sequence[Fraction], ring: Ring, name: str) -> MPoly:
-    i = ring.index(name)
-    terms = {}
-    for d, c in enumerate(u):
-        if c:
-            e = [0] * len(ring)
-            e[i] = d
-            terms[tuple(e)] = c
-    return MPoly(ring, terms)
+    s = _shift(ring, name)
+    if len(u) > MAX_EXP + 1:
+        raise AlgebraError(f"an exponent exceeds the limit {MAX_EXP}")
+    return _make(ring, {d << s: _coeff(c) for d, c in enumerate(u) if c})
 
 
 # squarefree part (at most two effective variables) ------------------------
@@ -535,8 +707,7 @@ def det_bareiss(mat: list[list[MPoly]]) -> MPoly:
                 return MPoly.zero(ring)
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                q = exact_div(num, prev)
+                q = exact_div(_mul_sub(m[i][j], m[k][k], m[i][k], m[k][j]), prev)
                 assert q is not None, "Bareiss division must be exact"
                 m[i][j] = q
             m[i][k] = MPoly.zero(ring)
@@ -561,7 +732,7 @@ def linear_solve(mat: list[list[MPoly]], rhs: list[MPoly]) -> tuple[list[MPoly],
     for k in range(n):
         pick = None
         for i in range(k, n):
-            if not a[i][k].is_zero() and (pick is None or len(a[i][k].terms) < len(a[pick][k].terms)):
+            if not a[i][k].is_zero() and (pick is None or len(a[i][k]._t) < len(a[pick][k]._t)):
                 pick = i
         if pick is None:
             raise EliminationError("singular linear system")
@@ -576,8 +747,7 @@ def linear_solve(mat: list[list[MPoly]], rhs: list[MPoly]) -> tuple[list[MPoly],
             for j in range(n + 1):
                 if j == k:
                     continue
-                num = row[j] * piv - low * a[k][j]
-                q = exact_div(num, prev)
+                q = exact_div(_mul_sub(row[j], piv, low, a[k][j]), prev)
                 assert q is not None, "fraction-free step must divide exactly"
                 row[j] = q
             row[k] = MPoly.zero(ring)
@@ -624,40 +794,43 @@ def resultant(f: MPoly, g: MPoly, name: str) -> MPoly:
 # Groebner bases (pure lex via the ring order) ------------------------------
 
 
-def _lcm_exps(a: Exps, b: Exps) -> Exps:
-    return tuple(max(x, y) for x, y in zip(a, b))
+def _lead(f: MPoly) -> int:
+    return max(f._t)
 
 
-def _divides(a: Exps, b: Exps) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+def _lcm_exps(a: int, b: int, k: int) -> int:
+    out = 0
+    for s in range(0, SLOT_BITS * k, SLOT_BITS):
+        out |= max(a >> s & _SLOT_MASK, b >> s & _SLOT_MASK) << s
+    return out
 
 
 def spoly(f: MPoly, g: MPoly) -> MPoly:
-    fe, fc = f.lt()
-    ge, gc = g.lt()
-    L = _lcm_exps(fe, ge)
-    mf = MPoly(f.ring, {tuple(a - b for a, b in zip(L, fe)): 1 / fc})
-    mg = MPoly(g.ring, {tuple(a - b for a, b in zip(L, ge)): 1 / gc})
+    fe, ge = _lead(f), _lead(g)
+    L = _lcm_exps(fe, ge, len(f.ring))
+    mf = _make(f.ring, {L - fe: ONE / f._t[fe]})
+    mg = _make(g.ring, {L - ge: ONE / g._t[ge]})
     return mf * f - mg * g
 
 
 def normal_form(f: MPoly, basis: Sequence[MPoly]) -> MPoly:
     """Full reduction of every term of f modulo the basis."""
     ring = f.ring
-    rem: dict[Exps, Fraction] = {}
+    guard = _guard(len(ring))
+    rem = {}
     work = f
-    lts = [(g.lt(), g) for g in basis if not g.is_zero()]
+    lts = [(_lead(g), g) for g in basis if not g.is_zero()]
     while not work.is_zero():
-        we, wc = work.lt()
-        for (ge, gc), g in lts:
-            if _divides(ge, we):
-                m = MPoly(ring, {tuple(a - b for a, b in zip(we, ge)): wc / gc})
-                work = work - m * g
+        we = _lead(work)
+        wc = work._t[we]
+        for ge, g in lts:
+            if _divides(ge, we, guard):
+                work = work - _make(ring, {we - ge: Fraction(wc) / g._t[ge]}) * g
                 break
         else:
-            rem[we] = rem.get(we, ZERO) + wc
-            work = work - MPoly(ring, {we: wc})
-    return MPoly(ring, rem)
+            rem[we] = wc
+            work = work - _make(ring, {we: wc})
+    return _make(ring, rem)
 
 
 def groebner_reduced(gens_in: Sequence[MPoly], max_reductions: int = 20_000) -> list[MPoly]:
@@ -672,36 +845,38 @@ def groebner_reduced(gens_in: Sequence[MPoly], max_reductions: int = 20_000) -> 
         p = primitive_part(g)
         if p.is_zero():
             continue
-        key = tuple(sorted(p.terms.items()))
+        key = tuple(sorted(p._t.items()))
         if key not in seen:
             seen.add(key)
             G.append(p)
     if not G:
         return []
-    ring = G[0].ring
+    k = len(G[0].ring)
+    guard = _guard(k)
 
     pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
     done: set[tuple[int, int]] = set()
     steps = 0
 
-    def lcm_of(i: int, j: int) -> Exps:
-        return _lcm_exps(G[i].lt()[0], G[j].lt()[0])
+    def lcm_of(i: int, j: int) -> tuple[int, int]:
+        L = _lcm_exps(_lead(G[i]), _lead(G[j]), k)
+        return sum(_unpack(L, k)), L  # total degree, then lex
 
     while pairs:
-        i, j = min(pairs, key=lambda ij: (sum(lcm_of(*ij)), lcm_of(*ij)))
+        i, j = min(pairs, key=lambda ij: lcm_of(*ij))
         pairs.discard((i, j))
         done.add((i, j))
-        li, lj = G[i].lt()[0], G[j].lt()[0]
-        L = _lcm_exps(li, lj)
-        if L == tuple(a + b for a, b in zip(li, lj)):
+        li, lj = _lead(G[i]), _lead(G[j])
+        L = _lcm_exps(li, lj, k)
+        if L == li + lj:
             continue  # coprime leading monomials
         skip = False
-        for k in range(len(G)):
-            if k in (i, j):
+        for m in range(len(G)):
+            if m in (i, j):
                 continue
-            if _divides(G[k].lt()[0], L):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
+            if _divides(_lead(G[m]), L, guard):
+                a = (min(i, m), max(i, m))
+                b = (min(j, m), max(j, m))
                 if a in done and b in done:
                     skip = True
                     break
@@ -716,19 +891,19 @@ def groebner_reduced(gens_in: Sequence[MPoly], max_reductions: int = 20_000) -> 
         r = primitive_part(r)
         G.append(r)
         new = len(G) - 1
-        for k in range(new):
-            pairs.add((k, new))
+        for m in range(new):
+            pairs.add((m, new))
 
     # minimize: drop members whose leading monomial is divisible by another's
     keep: list[MPoly] = []
-    lts = [g.lt()[0] for g in G]
+    lts = [_lead(g) for g in G]
     for i, g in enumerate(G):
         li = lts[i]
         redundant = False
         for j, lj in enumerate(lts):
             if i == j:
                 continue
-            if _divides(lj, li) and (lj != li or j < i):
+            if _divides(lj, li, guard) and (lj != li or j < i):
                 redundant = True
                 break
         if not redundant:
@@ -741,11 +916,11 @@ def groebner_reduced(gens_in: Sequence[MPoly], max_reductions: int = 20_000) -> 
         for i in range(len(keep)):
             others = keep[:i] + keep[i + 1:]
             r = primitive_part(normal_form(keep[i], others))
-            if r.terms != keep[i].terms:
+            if r._t != keep[i]._t:
                 keep[i] = r
                 changed = True
         keep = [g for g in keep if not g.is_zero()]
-    keep.sort(key=lambda g: g.lt()[0])
+    keep.sort(key=_lead)
     return keep
 
 
@@ -756,11 +931,12 @@ def is_reduced_groebner(G: Sequence[MPoly]) -> bool:
             if not normal_form(spoly(G[i], G[j]), G).is_zero():
                 return False
     for i, g in enumerate(G):
-        if primitive_part(g).terms != g.terms:
+        if primitive_part(g)._t != g._t:
             return False
-        for e in g.terms:
+        guard = _guard(len(g.ring))
+        for e in g._t:
             for j, h in enumerate(G):
-                if i != j and _divides(h.lt()[0], e):
+                if i != j and _divides(_lead(h), e, guard):
                     return False
     return True
 
@@ -772,10 +948,17 @@ def _substitute_linear(q: MPoly, name: str, c0: MPoly, c1: MPoly) -> MPoly:
     """q with name := -c0/c1, cleared by c1**deg; equals the resultant up to sign."""
     cm = q.as_coeff_map(name)
     k = max(cm)
-    out = MPoly.zero(q.ring)
+    one = MPoly.const(q.ring, 1)
+    neg = -c0
+    pow0, pow1 = [one], [one]  # (-c0)**i and c1**i, as far as needed
+    while len(pow0) <= k:
+        pow0.append(pow0[-1] * neg)
+    while len(pow1) <= k - min(cm):
+        pow1.append(pow1[-1] * c1)
+    acc: dict = {}
     for i, qi in cm.items():
-        out = out + qi * ((-c0) ** i) * (c1 ** (k - i))
-    return out
+        _addmul(acc, (qi * pow0[i])._t, pow1[k - i]._t)
+    return _make(q.ring, _finish(acc, len(q.ring)))
 
 
 def prem(f: MPoly, g: MPoly, v: str) -> MPoly:
@@ -784,19 +967,24 @@ def prem(f: MPoly, g: MPoly, v: str) -> MPoly:
     Equals lc_v(g)^k * f modulo g for some k >= 0, so it stays in the
     ideal generated by f and g while dropping below deg_v(g).
     """
+    if f.ring != g.ring:
+        raise AlgebraError("ring mismatch")
     dg = g.degree(v)
     if dg == 0:
         raise AlgebraError("pseudo-division by a polynomial free of the variable")
-    lc_g = g.as_coeff_map(v)[dg]
+    lc_g = g.as_coeff_map(v)[dg]._t
+    s = _shift(f.ring, v)
+    k = len(f.ring)
     r = f
-    while not r.is_zero() and r.degree(v) >= dg:
-        dr = r.degree(v)
-        lc_r = r.as_coeff_map(v)[dr]
-        step = MPoly.var(r.ring, v)
-        shifted = g
-        for _ in range(dr - dg):
-            shifted = shifted * step
-        r = primitive_part(lc_g * r - lc_r * shifted)
+    while not r.is_zero() and (dr := r.degree(v)) >= dg:
+        # lc_g * r - lc_r * v**(dr - dg) * g, as one sum
+        top = dr << s
+        lc_r = {e - top: c for e, c in r._t.items() if e >> s & _SLOT_MASK == dr}
+        up = (dr - dg) << s
+        acc: dict = {}
+        _addmul(acc, lc_g, r._t)
+        _addmul(acc, lc_r, {e + up: -c for e, c in g._t.items()})
+        r = primitive_part(_make(r.ring, _finish(acc, k)))
     return r
 
 
@@ -822,7 +1010,7 @@ def _pair_reduce(f: MPoly, g: MPoly, v: str, base: str) -> MPoly:
     # Sylvester resultants give the tightest eliminants but their cost
     # explodes with matrix size, so bulky pairs take the remainder chain
     d1, d2 = f.degree(v), g.degree(v)
-    if d1 + d2 <= 6 and len(f.terms) + len(g.terms) <= 1200:
+    if d1 + d2 <= 6 and len(f._t) + len(g._t) <= 1200:
         r = resultant(f, g, v)
         if r.is_zero():
             return r
@@ -856,7 +1044,7 @@ def eliminate_to_root(polys: Sequence[MPoly], root: str, base: str = "x") -> MPo
         for p in ps:
             if p.is_zero():
                 continue
-            key = tuple(sorted(p.terms.items()))
+            key = tuple(sorted(p._t.items()))
             if key not in seen:
                 seen.add(key)
                 out.append(p)
@@ -865,14 +1053,14 @@ def eliminate_to_root(polys: Sequence[MPoly], root: str, base: str = "x") -> MPo
     def pivot_grade(p: MPoly, v: str) -> tuple:
         c1 = p.as_coeff_map(v)[1]
         spread = sum(1 for w in aux if c1.degree(w) > 0)
-        return (not c1.is_constant(), spread, len(c1.terms))
+        return (not c1.is_constant(), spread, len(c1._t))
 
     def benign_rank(v: str, work: list[MPoly]) -> tuple | None:
         with_v = [p for p in work if p.degree(v) > 0]
         if len(with_v) == 1:
             return (0, 0)
         clean = [
-            len(p.as_coeff_map(v)[1].terms)
+            len(p.as_coeff_map(v)[1]._t)
             for p in with_v
             if p.degree(v) == 1 and pivot_grade(p, v)[1] == 0
         ]
@@ -894,11 +1082,11 @@ def eliminate_to_root(polys: Sequence[MPoly], root: str, base: str = "x") -> MPo
             # a variable constrained by a single polynomial projects away freely
             work = rest
             continue
-        with_v.sort(key=lambda p: (p.degree(v), len(p.terms), sorted(p.terms)))
+        with_v.sort(key=lambda p: (p.degree(v), len(p._t), sorted(p._t)))
         linear = [p for p in with_v if p.degree(v) == 1]
         new: list[MPoly] = []
         if linear:
-            pivot = min(linear, key=lambda p: pivot_grade(p, v) + (len(p.terms),))
+            pivot = min(linear, key=lambda p: pivot_grade(p, v) + (len(p._t),))
             cm = pivot.as_coeff_map(v)
             c1 = cm[1]
             c0 = cm.get(0, MPoly.zero(ring))
@@ -924,7 +1112,7 @@ def eliminate_to_root(polys: Sequence[MPoly], root: str, base: str = "x") -> MPo
         candidates = [p for p in basis if p.variables() <= keep and root in p.variables()]
     if not candidates:
         raise EliminationError("no relation in the kept variables was found")
-    best = min(candidates, key=lambda p: (p.degree(root), len(p.terms), sorted(p.terms)))
+    best = min(candidates, key=lambda p: (p.degree(root), len(p._t), sorted(p._t)))
     return primitive_part(best)
 
 
@@ -996,13 +1184,13 @@ def geometric_series(order: int) -> Series:
 
 def _coeff_series(p: MPoly, base: str, order: int) -> Series:
     out = [ZERO] * order
-    if not p.is_zero():
-        i = p.ring.index(base)
-        for e, c in p.terms.items():
-            if any(x for j, x in enumerate(e) if j != i and x):
-                raise AlgebraError("coefficient involves a variable besides " + base)
-            if e[i] < order:
-                out[e[i]] += c
+    s = _shift(p.ring, base)
+    for e, c in p._t.items():
+        d = e >> s
+        if e != d << s:
+            raise AlgebraError("coefficient involves a variable besides " + base)
+        if d < order:
+            out[d] += c
     return Series(tuple(out))
 
 
@@ -1097,7 +1285,7 @@ def canonical_bivariate(F: MPoly, main: str = "P", base: str = "x") -> MPoly:
     return primitive_part(F.restrict(ring))
 
 
-def _coeff_str(c: Fraction) -> str:
+def _coeff_str(c: int | Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else str(c)
 
 
@@ -1113,7 +1301,7 @@ def poly_text(F: MPoly, main: str = "P", base: str = "x") -> str:
         raise AlgebraError("text form supports only the two given variables")
     cm = F.as_coeff_map(main)
 
-    def mono(c: Fraction, j: int, i: int) -> tuple[int, str]:
+    def mono(c: int | Fraction, j: int, i: int) -> tuple[int, str]:
         sign = 1 if c > 0 else -1
         a = abs(c)
         factors = []
@@ -1125,10 +1313,9 @@ def poly_text(F: MPoly, main: str = "P", base: str = "x") -> str:
             factors.append(main if i == 1 else f"{main}^{i}")
         return sign, "*".join(factors)
 
-    def xterms(p: MPoly) -> list[tuple[int, Fraction]]:
-        i = p.ring.index(base)
-        items = [(e[i], c) for e, c in p.terms.items()]
-        return sorted(items, reverse=True)
+    def xterms(p: MPoly) -> list[tuple[int, int | Fraction]]:
+        s = _shift(p.ring, base)
+        return sorted(((e >> s & _SLOT_MASK, c) for e, c in p._t.items()), reverse=True)
 
     parts: list[tuple[int, str]] = []
     for i in sorted(cm, reverse=True):
@@ -1161,8 +1348,7 @@ def poly_text(F: MPoly, main: str = "P", base: str = "x") -> str:
 def poly_json_terms(F: MPoly) -> list[dict]:
     """JSON-ready term list: decimal-string coefficients, exponent maps."""
     out = []
-    for e in sorted(F.terms, reverse=True):
-        c = F.terms[e]
-        exps = {v: x for v, x in zip(F.ring, e) if x}
-        out.append({"coeff": _coeff_str(c), "exponents": exps})
+    for e in sorted(F._t, reverse=True):
+        exps = {v: x for v, x in zip(F.ring, _unpack(e, len(F.ring))) if x}
+        out.append({"coeff": _coeff_str(F._t[e]), "exponents": exps})
     return out

@@ -170,9 +170,10 @@ def _cmd_guess(args) -> int:
         raise ValueError("N must be nonnegative")
     spec = _spec_of(args)
     cfg = GuessConfig(args.maxp, args.maxx)
-    values = reference_series(spec, args.N)
+    tables: dict = {}
+    values = reference_series(spec, args.N, tables)
     F = guess_algebraic(values, cfg)
-    if F is not None and not verify_guess(F, spec, 10):
+    if F is not None and not verify_guess(F, spec, 10, tables):
         print("note: a candidate fit the prefix but failed on fresh terms",
               file=sys.stderr)
         F = None
@@ -240,9 +241,10 @@ def _cmd_verify(args) -> int:
             system = build_run_system(spec.up_runs, spec.down_runs, spec.flat_runs)
         else:
             system = build_peak_valley_system(spec.peaks, spec.valleys)
-        F = solve_system(system, spec)
+        tables = {spec: table}
+        F = solve_system(system, spec, tables)
         need = max(args.N + 1, F.degree("P") + 10)
-        series = Series.from_values(reference_series(spec, need - 1))
+        series = Series.from_values(reference_series(spec, need - 1, tables))
         second = "PASS" if series_vanishes(F, series) else "FAIL"
 
     report = f"{first},{second}"

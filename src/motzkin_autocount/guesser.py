@@ -256,13 +256,14 @@ def guess_algebraic(seq: Sequence, cfg: GuessConfig) -> MPoly | None:
     return None
 
 
-def verify_guess(F: MPoly, spec: RestrictionSpec, extra: int) -> bool:
-    """Re-test vanishing on a freshly computed, longer reference series."""
+def verify_guess(F: MPoly, spec: RestrictionSpec, extra: int, tables: dict | None = None) -> bool:
+    """Re-test vanishing on a longer reference series (``tables`` as in
+    reference_series)."""
     from .algebra import Series, series_vanishes
     from .symbolic import reference_series
 
     dp = max(F.degree("P"), 0)
     dx = max(F.degree("x"), 0)
     length = (dp + 1) * (dx + 1) + extra
-    values = reference_series(spec, length - 1)
+    values = reference_series(spec, length - 1, tables)
     return series_vanishes(F, Series.from_values(values))

@@ -487,7 +487,9 @@ def iterate_series(system: EquationSystem, n: int) -> list:
 # reference series ------------------------------------------------------------
 
 
-def reference_series(spec: RestrictionSpec, n: int) -> list[int]:
+def reference_series(
+    spec: RestrictionSpec, n: int, tables: dict[RestrictionSpec, DPTable] | None = None
+) -> list[int]:
     """Counts a(0..n), routed around the DP's two unsupported cases.
 
     A forbidden peak height 0 excludes exactly the admissible all-flat
@@ -496,11 +498,15 @@ def reference_series(spec: RestrictionSpec, n: int) -> list[int]:
     forces a single axis return, reducing to a shifted spec under a double
     geometric factor.  Anything else runs the DP directly; the rare specs
     whose reductions cycle fall back to the brute-force oracle.
+
+    ``tables`` holds the DP table of each spec counted so far; a caller
+    that passes one dict to all its calls grows one table per spec instead
+    of building a new one per call.
     """
-    return _reference(spec, n, set())
+    return _reference(spec, n, set(), {} if tables is None else tables)
 
 
-def _reference(spec: RestrictionSpec, n: int, seen: set) -> list[int]:
+def _reference(spec: RestrictionSpec, n: int, seen: set, tables: dict) -> list[int]:
     key = (spec.peaks, spec.valleys, spec.up_runs, spec.down_runs, spec.flat_runs)
     runs_restricted = bool(spec.up_runs or spec.down_runs or spec.flat_runs)
 
@@ -524,7 +530,7 @@ def _reference(spec: RestrictionSpec, n: int, seen: set) -> list[int]:
             spec.down_runs,
             spec.flat_runs,
         )
-        sub = _reference(relaxed, n, seen)
+        sub = _reference(relaxed, n, seen, tables)
         out = []
         for k in range(n + 1):
             flat_ok = k == 0 or k not in spec.flat_runs
@@ -539,7 +545,7 @@ def _reference(spec: RestrictionSpec, n: int, seen: set) -> list[int]:
         inner = RestrictionSpec(
             spec.peaks.decrement(), spec.valleys.remove_zero().decrement()
         )
-        sub = _reference(inner, n, seen)
+        sub = _reference(inner, n, seen, tables)
         out = []
         for k in range(n + 1):
             total = 1  # the all-flat path
@@ -548,7 +554,9 @@ def _reference(spec: RestrictionSpec, n: int, seen: set) -> list[int]:
             out.append(total)
         return out
 
-    table = DPTable(spec)
+    table = tables.get(spec)
+    if table is None:
+        table = tables[spec] = DPTable(spec)
     return [table.count(k) for k in range(n + 1)]
 
 
@@ -621,7 +629,7 @@ def _consistency_error() -> RuntimeError:
     )
 
 
-def _certified_divisor(q: MPoly, spec: RestrictionSpec) -> MPoly | None:
+def _certified_divisor(q: MPoly, spec: RestrictionSpec, tables: dict) -> MPoly | None:
     """Smallest guessed divisor of q that annihilates the reference series.
 
     Guess bounds are staged upward so a low-degree minimal polynomial inside
@@ -648,36 +656,48 @@ def _certified_divisor(q: MPoly, spec: RestrictionSpec) -> MPoly | None:
     for cap_p, cap_x in stages:
         cfg = GuessConfig(cap_p, cap_x)
         need = cfg.min_terms() + 2 * HOLDOUT
-        values = reference_series(spec, need - 1)
+        values = reference_series(spec, need - 1, tables)
         guess = guess_algebraic(values, cfg)
         if guess is None:
             continue
-        candidate = primitive_part(guess.extend(q.ring))
+        candidate = primitive_part(guess.restrict(q.ring))
         if exact_div(q, candidate) is None:
             continue
         dp = candidate.degree(ROOT)
         dx = candidate.degree(BASE)
         length = max(2 * dp * dx + 10, max_x + 15, 30)
-        s = Series.from_values(reference_series(spec, length - 1))
+        s = Series.from_values(reference_series(spec, length - 1, tables))
         if not series_vanishes(q, s):
             raise _consistency_error()
-        if candidate.terms == q.terms:
+        if candidate == q:
             return q
         if series_vanishes(candidate, s):
             return canonical_bivariate(candidate, ROOT, BASE)
     return None
 
 
-def solve_system(system: EquationSystem, spec: RestrictionSpec) -> MPoly:
-    """Eliminate to (x, P), certify against the reference series, and
-    return the minimal certified factor (the full eliminant if no proper
-    divisor is certified)."""
+def raw_eliminant(system: EquationSystem) -> tuple[MPoly, MPoly | None]:
+    """The system's eliminant in (x, P) before any stripping or
+    certification, and the denominator the linear collapse cleared (None
+    if the system has no step/fork layer to collapse)."""
     collapsed = _collapse_linear_layer(system)
     if collapsed is None:
         polys, den = list(system.polys), None
     else:
         polys, den = collapsed
-    q = eliminate_to_root(polys, system.root, BASE)
+    return eliminate_to_root(polys, system.root, BASE), den
+
+
+def solve_system(
+    system: EquationSystem,
+    spec: RestrictionSpec,
+    tables: dict[RestrictionSpec, DPTable] | None = None,
+) -> MPoly:
+    """Eliminate to (x, P), certify against the reference series, and
+    return the minimal certified factor (the full eliminant if no proper
+    divisor is certified).  ``tables`` is shared with reference_series."""
+    tables = {} if tables is None else tables
+    q, den = raw_eliminant(system)
     q = canonical_bivariate(q, ROOT, BASE)
     # denominator clearing and resultants leave predictable extraneous
     # factors; strip them before sizing the certificate, and let factor
@@ -704,7 +724,7 @@ def solve_system(system: EquationSystem, spec: RestrictionSpec) -> MPoly:
         deg_p = q.degree(ROOT)
         deg_x = q.degree(BASE)
     if deg_p > 1:
-        found = _certified_divisor(q, spec)
+        found = _certified_divisor(q, spec, tables)
         if found is not None:
             return found
         print(
@@ -712,7 +732,7 @@ def solve_system(system: EquationSystem, spec: RestrictionSpec) -> MPoly:
             file=sys.stderr,
         )
     length = max(2 * deg_p * deg_x + 10, 30)
-    values = reference_series(spec, length - 1)
+    values = reference_series(spec, length - 1, tables)
     s = Series.from_values(values)
     if not series_vanishes(q, s):
         raise _consistency_error()

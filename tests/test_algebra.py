@@ -1,12 +1,14 @@
 """Exact polynomial kernel: arithmetic, elimination, series operations."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motzkin_autocount.algebra import (
+    MAX_EXP,
     AlgebraError,
     BranchAmbiguityError,
     EliminationError,
@@ -55,6 +57,97 @@ def rand_polys(ring, max_terms=4):
     )
 
 
+# a naive reference: {exponent tuple: Fraction} dicts -------------------------
+
+HALF = MAX_EXP // 2
+# exponents from both ends of a slot; two HALF + 1 already overflow
+WIDE = st.sampled_from([0, 0, 1, 2, 3, HALF - 1, HALF, HALF + 1, MAX_EXP])
+UNDER_HALF = st.sampled_from([0, 0, 1, 2, 3, HALF - 1, HALF])
+SMALL = st.integers(0, 3)
+COEFFS = st.integers(-9, 9) | st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+
+class Overflow(Exception):
+    pass
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if max(e) > MAX_EXP:
+                raise Overflow
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_div(f, g):
+    ge = max(g)
+    q, rem = {}, dict(f)
+    while rem:
+        fe = max(rem)
+        de = tuple(x - y for x, y in zip(fe, ge))
+        if min(de) < 0:
+            return None
+        c = rem[fe] / g[ge]
+        q[de] = c
+        rem = ref_add(rem, ref_mul({de: c}, g), -1)
+    return q
+
+
+def ref_primitive(f):
+    if not f:
+        return f
+    num, den = 0, 1
+    for c in f.values():
+        num = gcd(num, c.numerator)
+        den = lcm(den, c.denominator)
+    scale = Fraction(den, num) * (1 if f[max(f)] > 0 else -1)
+    return {e: c * scale for e, c in f.items()}
+
+
+def ref_prem(f, g, i):
+    def lead(p, d):
+        return {e[:i] + (0,) + e[i + 1:]: c for e, c in p.items() if e[i] == d}
+
+    k = len(next(iter(g)))
+    dg = max(e[i] for e in g)
+    r = f
+    while r and (dr := max(e[i] for e in r)) >= dg:
+        up = tuple(dr - dg if j == i else 0 for j in range(k))
+        shifted = ref_mul({up: Fraction(1)}, g)
+        r = ref_primitive(ref_add(ref_mul(lead(g, dg), r), ref_mul(lead(r, dr), shifted), -1))
+    return r
+
+
+@st.composite
+def wide_case(draw, count, exps=WIDE, coeffs=COEFFS, max_terms=4):
+    """A ring of 1-40 variables and `count` reference polynomials on it."""
+    k = draw(st.integers(1, 40))
+    ring = make_ring(*(f"v{i}" for i in range(k)))
+    polys = [
+        {e: Fraction(c) for e, c in draw(st.dictionaries(
+            st.tuples(*(exps for _ in range(k))), coeffs, max_size=max_terms)).items() if c}
+        for _ in range(count)
+    ]
+    return ring, polys
+
+
+def expect(ref_fn, *args):
+    try:
+        return ref_fn(*args)
+    except Overflow:
+        return Overflow
+
+
 # ring arithmetic ---------------------------------------------------------
 
 
@@ -89,11 +182,117 @@ def test_coeff_map_reconstructs(f, g):
 
 def test_restrict_and_extend():
     big = make_ring("v1", "P", "x")
-    f = MOTZKIN_F.extend(big)
+    f = MOTZKIN_F.restrict(big)
     assert f.restrict(PX) == MOTZKIN_F
     v1 = MPoly.var(big, "v1")
     with pytest.raises(AlgebraError):
         (f + v1).restrict(PX)
+
+
+# the packed kernel against the naive reference --------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_case(2))
+def test_sum_and_difference_match_the_reference(case):
+    ring, (f, g) = case
+    F, G = MPoly(ring, f), MPoly(ring, g)
+    assert (F + G).terms == ref_add(f, g)
+    assert (F - G).terms == ref_add(f, g, -1)
+    assert (-F).terms == ref_add({}, f, -1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_case(2))
+def test_product_matches_the_reference_or_overflows(case):
+    ring, (f, g) = case
+    want = expect(ref_mul, f, g)
+    if want is Overflow:
+        with pytest.raises(AlgebraError):
+            MPoly(ring, f) * MPoly(ring, g)
+    else:
+        assert (MPoly(ring, f) * MPoly(ring, g)).terms == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_case(2))
+def test_term_view_and_order_match_exponent_tuples(case):
+    ring, (f, g) = case
+    F, G = MPoly(ring, f), MPoly(ring, g)
+    assert F.terms == f and len(F.terms) == len(f)
+    assert sorted(F.terms) == sorted(f)
+    if f:
+        assert F.lt() == (max(f), f[max(f)])
+    # elimination breaks ties on sorted(p._t): packed keys must order as tuples
+    keys, tuples = list(F._t), list(F.terms)
+    assert sorted(range(len(keys)), key=keys.__getitem__) == sorted(
+        range(len(tuples)), key=tuples.__getitem__)
+    assert (sorted(F._t) < sorted(G._t)) == (sorted(f) < sorted(g))
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_case(3, exps=UNDER_HALF))
+def test_exact_div_hits_and_misses_match_the_reference(case):
+    ring, (f, g, h) = case
+    if not g:
+        return
+    F, G, H = (MPoly(ring, p) for p in (f, g, h))
+    fg = ref_mul(f, g)
+    assert exact_div(F * G, G).terms == f
+    got = exact_div(F * G + H, G)
+    want = ref_div(ref_add(fg, h), g)
+    assert (got is None and want is None) or got.terms == want
+    # integer coefficients over a primitive divisor take the Gauss shortcut
+    Fi, Gp, Hi = (primitive_part(p) for p in (F, G, H))
+    assert exact_div(Fi * Gp, Gp) == Fi
+    num = Fi * Gp + Hi
+    got = exact_div(num, Gp)
+    want = ref_div(ref_add({}, num.terms), ref_add({}, Gp.terms))
+    assert (got is None and want is None) or got.terms == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_prem_matches_the_reference(data):
+    k = data.draw(st.integers(1, 40))
+    i = data.draw(st.integers(0, k - 1))
+    ring = make_ring(*(f"v{j}" for j in range(k)))
+    # small degrees in the pseudo-division variable keep the chain short
+    exps = st.tuples(*(SMALL if j == i else WIDE for j in range(k)))
+    f, g = (
+        {e: Fraction(c) for e, c in data.draw(st.dictionaries(exps, COEFFS, max_size=4)).items() if c}
+        for _ in range(2)
+    )
+    if not g or max(e[i] for e in g) == 0:
+        return
+    want = expect(ref_prem, f, g, i)
+    if want is Overflow:
+        with pytest.raises(AlgebraError):
+            prem(MPoly(ring, f), MPoly(ring, g), ring[i])
+    else:
+        assert prem(MPoly(ring, f), MPoly(ring, g), ring[i]).terms == want
+
+
+def test_exponent_overflow_raises():
+    big = X ** MAX_EXP
+    with pytest.raises(AlgebraError):
+        big * X  # would carry into P's slot
+    with pytest.raises(AlgebraError):
+        X ** (MAX_EXP + 1)
+    with pytest.raises(AlgebraError):
+        MPoly(PX, {(0, MAX_EXP + 1): 1})
+    with pytest.raises(AlgebraError):
+        MPoly(PX, {(0, -1): 1})
+    assert (big * P).terms == {(1, MAX_EXP): 1}
+
+
+def test_divisibility_uses_the_guard_bits():
+    # P's key minus x's key is nonnegative but borrows across the slot
+    assert exact_div(P, X) is None
+    assert exact_div(P * X ** MAX_EXP, X ** MAX_EXP) == P
+    assert exact_div(X ** MAX_EXP, X ** (MAX_EXP - 1) * P) is None
+    # the first step leaves x^(MAX_EXP + 10) in the remainder
+    assert exact_div(P * X ** MAX_EXP, P + X ** 10) is None
 
 
 # divisibility and content -------------------------------------------------

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from motzkin_autocount import cli, enumerate_motzkin
+from motzkin_autocount import cli, enumerate_motzkin, numeric_dp, symbolic
 
 MOTZKIN_LINE = "1,1,2,4,9,21,51,127,323,835,2188"
 
@@ -171,6 +171,24 @@ def test_verify_run_lengths(run_cli):
     rc, out, _ = run_cli("verify", "--C", "{1}", "--D", "{1}", "--E", "{1}",
                          "--N", "12")
     assert (rc, out) == (0, "PASS,PASS\n")
+
+
+def test_guess_and_verify_build_one_dp_table(run_cli, monkeypatch):
+    built = []
+
+    class CountingTable(numeric_dp.DPTable):
+        def __init__(self, spec):
+            built.append(spec)
+            super().__init__(spec)
+
+    monkeypatch.setattr(symbolic, "DPTable", CountingTable)
+    monkeypatch.setattr(cli, "DPTable", CountingTable)
+    rc, _, _ = run_cli("guess", "--D", "{1}", "--E", "{1}", "--N", "40",
+                       "--maxp", "3", "--maxx", "6")
+    assert rc == 0 and len(built) == 1
+    built.clear()
+    rc, out, _ = run_cli("verify", "--A", "{2*r+1}", "--B", "{2*r+1}", "--N", "12")
+    assert (rc, out) == (0, "PASS,PASS\n") and len(built) == 1
 
 
 def test_verify_mixed_spec_skips_the_symbolic_check(run_cli):

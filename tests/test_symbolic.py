@@ -249,6 +249,59 @@ def test_solve_output_is_primitive_with_positive_lead(fcde_goldens):
         assert content(F) == 1
 
 
+# (deg_P, deg_x, terms) of eliminate_to_root's result, before any stripping
+# or certification; a change of elimination branch shows here first
+RAW_ELIMINANTS = [
+    ("fab", ("{1,4}", "{1,3}"), (2, 16, 48)),
+    ("fab", ("{2*r+1}", "{2*r+1}"), (2, 5, 11)),
+    ("fcde", ("{}", "{1}", "{1}"), (7, 85, 477)),
+    ("fcde", ("{2*r+1}", "{2*r+1}", "{2*r+1}"), (19, 408, 2327)),
+    ("fcde", ("{2*r+1}", "{}", "{2*r+2}"), (5, 56, 296)),
+    ("fcde", ("{1,2,3}", "{}", "{}"), (17, 204, 1900)),
+]
+
+
+def test_raw_eliminants_are_pinned():
+    sizes = []
+    for kind, literals, want in RAW_ELIMINANTS:
+        sets = [parse_stepset(t) for t in literals]
+        system = (build_peak_valley_system if kind == "fab" else build_run_system)(*sets)
+        q, _ = symbolic.raw_eliminant(system)
+        sizes.append((q.degree(ROOT), q.degree(BASE), len(q.terms)))
+        assert sizes[-1] == want, (kind, literals)
+    # the first five are the derive goldens of the benchmark
+    assert sum(p for p, _, _ in sizes[:5]) == 35
+    assert sum(x for _, x, _ in sizes[:5]) == 570
+
+
+def test_one_dp_table_per_spec_in_a_derivation(monkeypatch):
+    built = []
+
+    class CountingTable(symbolic.DPTable):
+        def __init__(self, spec):
+            built.append(spec)
+            super().__init__(spec)
+
+    monkeypatch.setattr(symbolic, "DPTable", CountingTable)
+    F = fab(ODD, ODD)
+    assert poly_text(F) == "x^4*P^2 + (x^3-3*x^2+3*x-1)*P + x^2 - 2*x + 1"
+    assert built == [RestrictionSpec(peaks=ODD, valleys=ODD)]
+
+
+def test_reference_series_grows_the_table_it_is_given():
+    spec = run_spec(ONE, EMPTY, ONE)
+    tables = {}
+    assert reference_series(spec, 8, tables) == sequence(spec, 8)
+    table = tables[spec]
+    assert reference_series(spec, 20, tables) == sequence(spec, 20)
+    assert tables == {spec: table}
+    # a height-0 spec reduces to the relaxed spec, whose table is kept
+    zero = RestrictionSpec(peaks=parse_stepset("{0}"))
+    tables = {}
+    assert reference_series(zero, 10, tables) == oracle_sequence(zero, 10)
+    assert list(tables) == [RestrictionSpec()]
+
+
 def test_iterate_series_matches_dp_on_mixed_examples():
     for sets in [(ONE, EMPTY, EMPTY), (EMPTY, ONE, ONE), (ODD, EMPTY, EVEN_POS)]:
         system = build_run_system(*sets)
