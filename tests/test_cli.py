@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from motzkin_autocount import cli, enumerate_motzkin, numeric_dp, symbolic
+from motzkin_autocount import cli, enumerate_motzkin, numeric_dp, oracle, symbolic
 
 MOTZKIN_LINE = "1,1,2,4,9,21,51,127,323,835,2188"
 
@@ -80,14 +80,15 @@ def test_oracle_json_paths(run_cli):
     assert (rc, payload["paths"]) == (0, ["UD", "FF"])
 
 
-def test_oracle_respects_the_guard(run_cli, monkeypatch):
+def test_oracle_respects_the_guard(run_cli, monkeypatch, refuse_paths):
     monkeypatch.setenv("MOTZKIN_ORACLE_GUARD", "8")
-    before = enumerate_motzkin.cache_info()
+    before = enumerate_motzkin.cache_info(), oracle.feature_classes.cache_info()
     rc, _, err = run_cli("oracle", "--N", "25")
     assert rc == 1
     assert "MOTZKIN_ORACLE_GUARD" in err
     # refused before enumerating any length
-    assert enumerate_motzkin.cache_info() == before
+    assert (enumerate_motzkin.cache_info(),
+            oracle.feature_classes.cache_info()) == before
 
 
 def test_guess_motzkin(run_cli):

@@ -1,7 +1,7 @@
 """Brute-force enumeration: path validity, feature extraction, guard."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from motzkin_autocount import (
@@ -10,6 +10,7 @@ from motzkin_autocount import (
     enumerate_motzkin,
     features,
     list_restricted,
+    oracle,
     oracle_sequence,
     parse_stepset,
 )
@@ -17,6 +18,7 @@ from motzkin_autocount.oracle import (
     DEFAULT_GUARD,
     OracleGuardError,
     admits,
+    feature_classes,
     is_motzkin,
     oracle_guard,
 )
@@ -111,10 +113,24 @@ def test_height_one_peak_ban_leaves_only_the_flat_path():
     assert count_restricted(3, spec(A="{1}")) == 1
 
 
-def test_count_agrees_with_list():
-    s = spec(B="{0}", E="{2}")
-    for n in range(9):
-        assert count_restricted(n, s) == len(list_restricted(n, s))
+def _sets(values):
+    finite = st.frozensets(values, max_size=3).map(
+        lambda vals: "{" + ",".join(map(str, sorted(vals))) + "}"
+    )
+    return st.one_of(finite, st.sampled_from(["{2*r+1}", "{2*r+2}", "{r+2}"]))
+
+
+HEIGHTS, RUNS = _sets(st.integers(0, 4)), _sets(st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 9), st.builds(spec, HEIGHTS, HEIGHTS, RUNS, RUNS, RUNS))
+@example(9, spec(A="{0}", B="{0}", E="{2}"))
+@example(9, spec(A="{0,2*r+1}", B="{2*r+2}", C="{r+2}"))
+def test_count_agrees_with_list(n, s):
+    # the class count against the path filter; peak height 0
+    # reaches the flat-only paths, which carry no other peak
+    assert count_restricted(n, s) == len(list_restricted(n, s))
 
 
 def test_oracle_sequence_prefix():
@@ -133,12 +149,30 @@ def test_guard_default_and_override(monkeypatch):
     assert count_restricted(5, spec()) == MOTZKIN[5]
 
 
-def test_oracle_sequence_checks_the_guard_before_enumerating(monkeypatch):
+def test_oracle_sequence_checks_the_guard_before_enumerating(monkeypatch, refuse_paths):
     monkeypatch.setenv("MOTZKIN_ORACLE_GUARD", "5")
-    before = enumerate_motzkin.cache_info()
+    before = enumerate_motzkin.cache_info(), feature_classes.cache_info()
     with pytest.raises(OracleGuardError):
         oracle_sequence(spec(), 12)
+    assert (enumerate_motzkin.cache_info(), feature_classes.cache_info()) == before
+
+
+def test_oracle_sequence_streams_the_paths(monkeypatch):
+    generated = []
+    real = oracle.motzkin_paths
+
+    def recording(n):
+        generated.append(n)
+        return real(n)
+
+    monkeypatch.setattr(oracle, "motzkin_paths", recording)
+    feature_classes.cache_clear()
+    before = enumerate_motzkin.cache_info()
+    assert oracle_sequence(spec(), 12) == MOTZKIN + [5798, 15511]
+    # no tuple of paths is kept; one class table per length 0..12
     assert enumerate_motzkin.cache_info() == before
+    assert generated == list(range(13))
+    assert feature_classes.cache_info().currsize == 13
 
 
 @settings(max_examples=40)
