@@ -47,6 +47,7 @@ JOBS = [
     Job("guess motzkin", "guess", ("{}",) * 5, n=24, bounds=(2, 2)),
     Job("guess odd heights", "guess",
         ("{2*r+1}", "{2*r+1}", "{}", "{}", "{}"), n=39, bounds=(2, 4)),
+    Job("guess all {1}", "guess", ("{}", "{}", "{1}", "{1}", "{1}"), n=125, bounds=(4, 20)),
 ]
 
 

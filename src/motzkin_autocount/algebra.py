@@ -7,8 +7,9 @@ Groebner bases, variable elimination down to a single bivariate relation,
 and truncated power-series utilities including solving a polynomial
 equation for its unique series root given a disambiguating prefix.
 
-Coefficients are Python ints wherever they are integral, which covers all
-of elimination; a Fraction appears only where a true rational does
+Coefficients, of polynomials and of truncated series alike, are Python ints
+wherever they are integral, which covers all of elimination; a Fraction
+appears only where a true rational does
 (Groebner S-polynomials and normal forms, the Euclidean algorithm over Q in
 sqfree_part, rational guesser input).  Each exponent vector is packed into
 one int of SLOT_BITS bits per variable, the first ring variable in the most
@@ -1121,13 +1122,17 @@ def eliminate_to_root(polys: Sequence[MPoly], root: str, base: str = "x") -> MPo
 
 @dataclass(frozen=True)
 class Series:
-    """Truncated power series: coefficient c_k of x^k for k < order."""
+    """Truncated power series: coefficient c_k of x^k for k < order.
 
-    coeffs: tuple[Fraction, ...]
+    Coefficients are ints wherever they are integral; a Fraction appears
+    only where a true rational does.
+    """
+
+    coeffs: tuple[int | Fraction, ...]
 
     @staticmethod
     def from_values(values: Iterable) -> "Series":
-        return Series(tuple(_as_fraction(v) for v in values))
+        return Series(tuple(_coeff(v) for v in values))
 
     @property
     def order(self) -> int:
@@ -1148,7 +1153,7 @@ class Series:
 
     def __mul__(self, other: "Series") -> "Series":
         n = min(self.order, other.order)
-        out = [ZERO] * n
+        out = [0] * n
         for i, a in enumerate(self.coeffs[:n]):
             if a == 0:
                 continue
@@ -1159,14 +1164,14 @@ class Series:
         return Series(tuple(out))
 
     def scale(self, c) -> "Series":
-        c = _as_fraction(c)
+        c = _coeff(c)
         return Series(tuple(v * c for v in self.coeffs))
 
     def shift(self, k: int) -> "Series":
         """Multiply by x**k, keeping the order."""
         if k < 0:
             raise AlgebraError("negative shift")
-        return Series((ZERO,) * min(k, self.order) + self.coeffs[: max(0, self.order - k)])
+        return Series((0,) * min(k, self.order) + self.coeffs[: max(0, self.order - k)])
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -1178,12 +1183,8 @@ class Series:
         return None
 
 
-def geometric_series(order: int) -> Series:
-    return Series((ONE,) * order)
-
-
 def _coeff_series(p: MPoly, base: str, order: int) -> Series:
-    out = [ZERO] * order
+    out = [0] * order
     s = _shift(p.ring, base)
     for e, c in p._t.items():
         d = e >> s
@@ -1200,7 +1201,7 @@ def poly_series_eval(F: MPoly, s: Series, main: str = "P", base: str = "x") -> S
         raise AlgebraError("polynomial must involve only the series variables")
     cm = F.as_coeff_map(main)
     if not cm:
-        return Series((ZERO,) * s.order)
+        return Series((0,) * s.order)
     d = max(cm)
     acc = _coeff_series(cm.get(d, MPoly.zero(F.ring)), base, s.order)
     for i in range(d - 1, -1, -1):
@@ -1232,7 +1233,7 @@ def series_solve(
     the origin as long as the prefix is long enough to keep that order below
     the next unknown's index.  Raises BranchAmbiguityError otherwise.
     """
-    known = [_as_fraction(v) for v in prefix]
+    known = [_coeff(v) for v in prefix]
     if not known:
         raise BranchAmbiguityError("an initial prefix of at least one term is required")
     if order < len(known):
@@ -1260,19 +1261,17 @@ def series_solve(
 
     while len(known) < order:
         k = len(known)
-        pk = Series(tuple(known) + (ZERO,) * (k + 1))  # plenty of headroom below
-        deriv_val = eval_at(dF, Series(tuple(known) + (ZERO,) * k))
+        deriv_val = eval_at(dF, Series(tuple(known) + (0,) * k))
         v = deriv_val.valuation()
         if v is None or v >= k:
             raise BranchAmbiguityError(
                 "the linear step degenerates; supply a longer prefix"
             )
-        pk = Series(tuple(known) + (ZERO,) * (v + 1))
+        pk = Series(tuple(known) + (0,) * (v + 1))
         value = eval_at(cm, pk)
         if any(value.coeffs[t] != 0 for t in range(k, k + v)):
             raise AlgebraError("no series extension exists for this prefix")
-        c = -value.coeffs[k + v] / deriv_val.coeffs[v]
-        known.append(c)
+        known.append(_coeff(-Fraction(value.coeffs[k + v]) / deriv_val.coeffs[v]))
     return Series(tuple(known[:order]))
 
 

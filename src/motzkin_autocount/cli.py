@@ -173,7 +173,7 @@ def _cmd_guess(args) -> int:
     tables: dict = {}
     values = reference_series(spec, args.N, tables)
     F = guess_algebraic(values, cfg)
-    if F is not None and not verify_guess(F, spec, 10, tables):
+    if F is not None and not verify_guess(F, spec, 10, tables, fitted=len(values)):
         print("note: a candidate fit the prefix but failed on fresh terms",
               file=sys.stderr)
         F = None

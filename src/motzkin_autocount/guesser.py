@@ -7,12 +7,22 @@ F(x, S) vanish, where S is the prefix read as a truncated series.  The last
 five available orders are withheld from the solve and used as a blind check,
 so an underdetermined fit that merely interpolates noise is rejected.
 
-Integer prefixes are first sieved modulo a fixed 61-bit prime: full column
-rank modulo the prime already proves full rank over Q, so the expensive
-rational elimination only runs for pairs that produce a candidate the modular
-round cannot settle.  Candidates recovered by rational reconstruction are
-re-verified exactly on every fit order, so acceptance never depends on the
-prime.
+Integer prefixes are first sieved modulo the 61-bit prime SIEVE_PRIME, with
+one column reduction per P-degree.  For a fixed dP the fit rows (the orders
+below nfit = n - dP - HOLDOUT) do not depend on dX, and the columns (i, j),
+i <= dP, j <= dX, only grow with dX; so the columns of each new x-degree are
+reduced against the pivot columns already stored for that dP, as far as the
+schedule has reached and no further.  A pair whose columns all get pivots
+has full column rank modulo the prime on its fit rows: some maximal minor
+of its integer fit matrix is nonzero modulo the prime, hence nonzero, so
+the matrix has full column rank over Q, its nullspace is {0} and the pair
+holds no relation.  Such pairs are skipped without any per-pair work.  Once
+a column of some dP is dependent, every larger dX of that dP is rank
+deficient too, and only those pairs run the per-pair reduction: a
+Gauss-Jordan elimination modulo the prime, whose candidates are recovered
+by rational reconstruction and re-verified exactly on every fit order,
+falling back to the same elimination over Q.  Acceptance never depends on
+the prime.
 """
 
 from __future__ import annotations
@@ -21,9 +31,9 @@ import math
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
-from .algebra import MPoly, Ring, ZERO, ONE, make_ring, primitive_part
+from .algebra import MPoly, ONE, Ring, Series, make_ring, primitive_part
 from .stepset import RestrictionSpec
 
 GUESS_RING: Ring = make_ring("P", "x")
@@ -47,62 +57,153 @@ class GuessConfig:
         return (self.max_p_degree + 1) * (self.max_x_degree + 1) + self.safety_margin
 
 
-def _series_powers(seq: Sequence[Fraction], top: int) -> list[list[Fraction]]:
-    """Truncated powers S^0..S^top of the prefix series."""
-    n = len(seq)
-    powers = [[ONE] + [ZERO] * (n - 1)]
+def _series_powers(s: Series, top: int) -> list[tuple]:
+    """Coefficients of the truncated powers S^0..S^top of the prefix series."""
+    power = Series((1,) + (0,) * (s.order - 1))
+    out = [power.coeffs]
     for _ in range(top):
-        prev = powers[-1]
-        cur = [ZERO] * n
-        for i, a in enumerate(prev):
-            if a == 0:
-                continue
-            for j in range(n - i):
-                b = seq[j]
-                if b:
-                    cur[i + j] += a * b
-        powers.append(cur)
-    return powers
+        power = power * s
+        out.append(power.coeffs)
+    return out
 
 
-def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right nullspace via reduced row echelon form."""
-    mat = [row[:] for row in rows]
+def _fit_rows(
+    powers: Sequence[Sequence], cols: list[tuple[int, int]], start: int, stop: int
+) -> list[list]:
+    """Rows ``start..stop-1`` of the fit system: the coefficient of x^order
+    in x^j * S^i for each column (i, j)."""
+    return [
+        [powers[i][order - j] if order >= j else 0 for (i, j) in cols]
+        for order in range(start, stop)
+    ]
+
+
+class _Field(NamedTuple):
+    """The field _nullspace reduces over, given by its operations."""
+
+    inv: Callable[[Any], Any]  # inverse of a nonzero entry
+    scale: Callable[[list, Any], list]  # row times c
+    sub: Callable[[list, Any, list], list]  # row minus f times another row
+    lift: Callable[[Any], Any]  # an entry as a rational, or None if it has none
+
+
+RATIONALS = _Field(
+    lambda a: ONE / a,
+    lambda row, c: [v * c for v in row],
+    lambda row, f, other: [a - f * b for a, b in zip(row, other)],
+    lambda a: a,
+)
+MOD_SIEVE = _Field(
+    lambda a: pow(a, SIEVE_PRIME - 2, SIEVE_PRIME),
+    lambda row, c: [v * c % SIEVE_PRIME for v in row],
+    lambda row, f, other: [(a - f * b) % SIEVE_PRIME for a, b in zip(row, other)],
+    lambda a: _rational_from_residue(a, SIEVE_PRIME),
+)
+
+
+def _nullspace(rows: list[list], ncols: int, field: _Field) -> list[list] | None:
+    """Basis of the right nullspace via reduced row echelon form over
+    ``field``: one vector per free column, 1 there, with its pivot entries
+    lifted to rationals.  None if some entry does not lift."""
+    mat = list(rows)
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pr = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pr = i
-                break
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
+        inv = field.inv(mat[r][c])
+        row_r = mat[r] = field.scale(mat[r], inv)
+        # row r is zero left of column c, so only the rest of a row changes
+        tail = row_r[c:]
         for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+            f = mat[i][c]
+            if i != r and f:
+                row = mat[i]
+                mat[i] = row[:c] + field.sub(row[c:], f, tail)
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
     basis = []
+    pivotset = set(pivots)
     for free in range(ncols):
-        if free in pivots:
+        if free in pivotset:
             continue
-        v = [ZERO] * ncols
-        v[free] = ONE
-        for pr, pc in enumerate(pivots):
-            v[pc] = -mat[pr][free]
+        v = [0] * ncols
+        v[free] = 1
+        for pr_i, pc in enumerate(pivots):
+            a = mat[pr_i][free]
+            if a:
+                val = field.lift(a)
+                if val is None:
+                    return None
+                v[pc] = -val
         basis.append(v)
     return basis
 
 
-def _rational_from_residue(a: int, p: int) -> Fraction | None:
-    """Smallest rational n/d with n = a*d mod p, |n|,d <= sqrt(p/2), or None."""
+class _ColumnSieve:
+    """Column reduction modulo SIEVE_PRIME of one P-degree's fit matrix.
+
+    The rows are the dp's ``nfit`` fit orders; the columns (i, j) of each
+    x-degree j are added as the schedule asks for them.  A column is packed
+    into one int, row k in byte slot k of ``size`` bytes.  A stored pivot
+    column has residue 1 at its pivot row, 0 above it and 0 at every pivot
+    row found before it, and keeps only its slots from the pivot row down.
+    A new column is reduced by one pass over the pivots in the order they
+    were found, adding (p - f) times each, f being the column's residue at
+    that pivot's row.  No slot is reduced modulo p during the pass: it
+    starts below p and gains less than p^2 per pivot, at most nfit times,
+    which its size holds without a carry into the next slot.  Once a
+    column is dependent, every larger x-degree is rank deficient too, so
+    the pivots are dropped.
+    """
+
+    def __init__(self, pow_mod: list[list[int]], dp: int, nfit: int):
+        self.nfit = max(nfit, 0)
+        self.size = (2 * SIEVE_PRIME.bit_length() + (self.nfit + 1).bit_length() + 7) // 8
+        self.series = [self._pack(row[:self.nfit]) for row in pow_mod[:dp + 1]]
+        self.dx = -1
+        self.full = True
+        self.pivots: list[tuple[int, int]] = []  # (shift of the pivot row, packed tail)
+
+    def _pack(self, residues: Sequence[int]) -> int:
+        size = self.size
+        return int.from_bytes(b"".join(a.to_bytes(size, "little") for a in residues), "little")
+
+    def full_rank(self, dx: int) -> bool:
+        """Whether the columns of x-degree at most ``dx`` are independent
+        modulo the prime on the fit rows."""
+        p, size, nfit = SIEVE_PRIME, self.size, self.nfit
+        bits = 8 * size
+        slot = (1 << bits) - 1
+        fit_rows = (1 << (bits * nfit)) - 1
+        while self.full and self.dx < dx:
+            self.dx += 1
+            for packed in self.series:
+                col = (packed << (bits * self.dx)) & fit_rows
+                for shift, w in self.pivots:
+                    f = ((col >> shift) & slot) % p
+                    if f:
+                        col += ((p - f) * w) << shift
+                raw = col.to_bytes(size * nfit, "little")
+                res = [int.from_bytes(raw[k:k + size], "little") % p
+                       for k in range(0, len(raw), size)]
+                r = next((k for k, a in enumerate(res) if a), None)
+                if r is None:
+                    self.full = False
+                    self.pivots = self.series = []
+                    break
+                inv = pow(res[r], p - 2, p)
+                self.pivots.append((bits * r, self._pack([a * inv % p for a in res[r:]])))
+        return self.full
+
+
+def _rational_from_residue(a: int, p: int) -> int | Fraction | None:
+    """Smallest rational n/d with n = a*d mod p, |n|,d <= sqrt(p/2), or None;
+    an int when d is 1."""
     bound = math.isqrt(p // 2)
     r0, r1 = p, a % p
     s0, s1 = 0, 1
@@ -115,70 +216,25 @@ def _rational_from_residue(a: int, p: int) -> Fraction | None:
     num, den = (r1, s1) if s1 > 0 else (-r1, -s1)
     if (num - a * den) % p:
         return None
-    return Fraction(num, den)
+    return num if den == 1 else Fraction(num, den)
 
 
 def _modular_candidates(
-    pow_mod: list[list[int]], cols: list[tuple[int, int]], nfit: int, p: int
-) -> list[list[Fraction]] | None:
-    """Nullspace candidates of the fit system read modulo a prime.
-
-    An empty list means the fit matrix has full column rank modulo p, which
-    forces full rank over Q, so the pair is settled.  None means some entry
-    would not reconstruct as a small rational and the exact path must run.
-    Nonzero candidates still need exact re-verification by the caller.
-    """
-    mat = [
-        [pow_mod[i][order - j] if order >= j else 0 for (i, j) in cols]
-        for order in range(nfit)
-    ]
-    ncols = len(cols)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = pow(mat[r][c], p - 2, p)
-        mat[r] = [v * inv % p for v in mat[r]]
-        row_r = mat[r]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], row_r)]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    out: list[list[Fraction]] = []
-    pivotset = set(pivots)
-    for free in range(ncols):
-        if free in pivotset:
-            continue
-        v = [ZERO] * ncols
-        v[free] = ONE
-        for pr_i, pc in enumerate(pivots):
-            a = mat[pr_i][free]
-            if a:
-                val = _rational_from_residue(a, p)
-                if val is None:
-                    return None
-                v[pc] = -val
-        out.append(v)
-    return out
+    pow_mod: list[list[int]], cols: list[tuple[int, int]], nrows: int
+) -> list[list] | None:
+    """Nullspace candidates of the first ``nrows`` fit rows read modulo
+    SIEVE_PRIME, or None if some entry would not reconstruct as a small
+    rational and the exact path must run.  Candidates still need exact
+    re-verification by the caller."""
+    return _nullspace(_fit_rows(pow_mod, cols, 0, nrows), len(cols), MOD_SIEVE)
 
 
 def _vanishes_through(
-    powers: list[list[Fraction]], cols: list[tuple[int, int]], v: list[Fraction], norders: int
+    powers: list[tuple], cols: list[tuple[int, int]], v: list, norders: int
 ) -> bool:
     support = [(i, j, v[k]) for k, (i, j) in enumerate(cols) if v[k]]
     for order in range(norders):
-        acc = ZERO
+        acc = 0
         for i, j, c in support:
             if order >= j:
                 acc += c * powers[i][order - j]
@@ -199,48 +255,50 @@ def guess_algebraic(seq: Sequence, cfg: GuessConfig) -> MPoly | None:
     The result, when found, is primitive with integer coefficients and a
     positive leading coefficient, on the ring (P, x).
     """
-    values = [Fraction(v) for v in seq]
-    n = len(values)
+    series = Series.from_values(seq)
+    n = series.order
     if n < cfg.min_terms():
         raise ValueError(
             f"need at least {cfg.min_terms()} terms for bounds "
             f"({cfg.max_p_degree},{cfg.max_x_degree}), got {n}"
         )
-    powers = _series_powers(values, cfg.max_p_degree)
-    pow_mod = None
-    if all(v.denominator == 1 for v in values):
-        pow_mod = [[int(c) % SIEVE_PRIME for c in row] for row in powers]
+    powers = _series_powers(series, cfg.max_p_degree)
+    sieves: dict[int, _ColumnSieve] | None = None
+    if all(type(c) is int for c in series.coeffs):
+        pow_mod = [[c % SIEVE_PRIME for c in row] for row in powers]
+        sieves = {}
 
     for dp, dx in _pair_schedule(cfg.max_p_degree, cfg.max_x_degree):
         # truncation headroom: only orders below n - dp are trustworthy
         L = n - dp
         unknowns = (dp + 1) * (dx + 1)
         if L < unknowns + cfg.safety_margin:
+            if sieves:
+                sieves.pop(dp, None)  # every larger dx of this dp is skipped too
             continue
-        cols = [(i, j) for i in range(dp + 1) for j in range(dx + 1)]
         nfit = L - HOLDOUT
+        cols = [(i, j) for i in range(dp + 1) for j in range(dx + 1)]
         basis = None
-        if pow_mod is not None:
+        if sieves is not None:
+            sieve = sieves.get(dp)
+            if sieve is None:
+                sieve = sieves[dp] = _ColumnSieve(pow_mod, dp, nfit)
+            full = sieve.full_rank(dx)
+            if dx == cfg.max_x_degree:
+                del sieves[dp]
+            if full:
+                continue
+            # rank deficient on the fit rows, hence on their first
+            # sieve_rows too: the candidate list is never empty
             sieve_rows = min(nfit, unknowns + cfg.safety_margin + 3)
-            cand = _modular_candidates(pow_mod, cols, sieve_rows, SIEVE_PRIME)
+            cand = _modular_candidates(pow_mod, cols, sieve_rows)
             if cand is not None:
-                if not cand:
-                    continue
-                good = [v for v in cand if _vanishes_through(powers, cols, v, nfit)]
-                if good:
-                    basis = good
+                basis = [v for v in cand if _vanishes_through(powers, cols, v, nfit)] or None
         if basis is None:
-            fit = [
-                [powers[i][order - j] if order >= j else ZERO for (i, j) in cols]
-                for order in range(nfit)
-            ]
-            basis = _nullspace(fit, len(cols))
+            basis = _nullspace(_fit_rows(powers, cols, 0, nfit), len(cols), RATIONALS)
         if not basis:
             continue
-        hold = [
-            [powers[i][order - j] if order >= j else ZERO for (i, j) in cols]
-            for order in range(nfit, L)
-        ]
+        hold = _fit_rows(powers, cols, nfit, L)
         passing = [
             v for v in basis
             if all(sum(c * row[k] for k, c in enumerate(v)) == 0 for row in hold)
@@ -256,14 +314,17 @@ def guess_algebraic(seq: Sequence, cfg: GuessConfig) -> MPoly | None:
     return None
 
 
-def verify_guess(F: MPoly, spec: RestrictionSpec, extra: int, tables: dict | None = None) -> bool:
-    """Re-test vanishing on a longer reference series (``tables`` as in
-    reference_series)."""
-    from .algebra import Series, series_vanishes
+def verify_guess(
+    F: MPoly, spec: RestrictionSpec, extra: int, tables: dict | None = None, fitted: int = 0
+) -> bool:
+    """Re-test vanishing on a reference series that reaches ``extra`` terms
+    past both the ``fitted`` terms the guess was made from and F's
+    (dp+1)(dx+1) unknowns (``tables`` as in reference_series)."""
+    from .algebra import series_vanishes
     from .symbolic import reference_series
 
     dp = max(F.degree("P"), 0)
     dx = max(F.degree("x"), 0)
-    length = (dp + 1) * (dx + 1) + extra
+    length = max((dp + 1) * (dx + 1), fitted) + extra
     values = reference_series(spec, length - 1, tables)
     return series_vanishes(F, Series.from_values(values))

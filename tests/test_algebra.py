@@ -20,7 +20,6 @@ from motzkin_autocount.algebra import (
     eliminate_to_root,
     exact_div,
     gens,
-    geometric_series,
     groebner_reduced,
     is_reduced_groebner,
     linear_solve,
@@ -485,9 +484,10 @@ def test_eliminate_needs_the_root_present():
 
 def test_series_basics():
     s = Series.from_values([1, 2, 3])
-    t = geometric_series(3)
+    t = Series.from_values([1, 1, 1])
     assert (s + t).coeffs == (2, 3, 4)
     assert (s * t).coeffs == (1, 3, 6)
+    assert all(type(c) is int for c in (s * t).coeffs + s.scale(Fraction(2)).coeffs)
     assert s.shift(1).coeffs == (0, 1, 2)
     assert s.truncate(2).coeffs == (1, 2)
     with pytest.raises(AlgebraError):
@@ -513,6 +513,15 @@ def test_series_solve_rational_case():
     F = (1 - X) * P - 1
     s = series_solve(F, [1], 6)
     assert list(s.coeffs) == [1] * 6
+
+
+def test_series_solve_keeps_rationals_exact():
+    # (2-x)P - 2 = 0 has the root sum (x/2)^k: integral only at x^0
+    F = (2 - X) * P - 2
+    s = series_solve(F, [1], 8)
+    assert s.coeffs == tuple(Fraction(1, 2**k) for k in range(8))
+    assert [type(c) for c in s.coeffs] == [int] + [Fraction] * 7
+    assert series_vanishes(F, s)
 
 
 def test_series_solve_branch_ambiguity():

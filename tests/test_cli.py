@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from motzkin_autocount import cli, enumerate_motzkin, numeric_dp, oracle, symbolic
+from motzkin_autocount import (
+    cli,
+    enumerate_motzkin,
+    motzkin_numbers,
+    numeric_dp,
+    oracle,
+    symbolic,
+)
 
 MOTZKIN_LINE = "1,1,2,4,9,21,51,127,323,835,2188"
 
@@ -110,6 +117,21 @@ def test_guess_not_found_exit_code(run_cli):
                          "--maxp", "2", "--maxx", "2")
     assert rc == 3
     assert out == "NOT_FOUND\n"
+
+
+def test_guess_is_checked_past_the_fitted_prefix(run_cli, monkeypatch):
+    # Motzkin numbers with a(33) corrupted: the quadratic fits a(0..30) and
+    # must be refused on the fresh terms after them
+    def corrupted(spec, n, tables=None):
+        values = motzkin_numbers(max(n, 33))
+        values[33] += 1
+        return values[:n + 1]
+
+    monkeypatch.setattr(cli, "reference_series", corrupted)
+    monkeypatch.setattr(symbolic, "reference_series", corrupted)
+    rc, out, err = run_cli("guess", "--N", "30", "--maxp", "2", "--maxx", "2")
+    assert (rc, out) == (3, "NOT_FOUND\n")
+    assert "failed on fresh terms" in err
 
 
 def test_guess_past_the_oracle_guard_is_a_domain_error(run_cli):

@@ -16,9 +16,14 @@ from motzkin_autocount import (
     sequence,
     verify_guess,
 )
+from motzkin_autocount import guesser
 from motzkin_autocount.guesser import (
     GUESS_RING,
+    HOLDOUT,
     SIEVE_PRIME,
+    _ColumnSieve,
+    _fit_rows,
+    _pair_schedule,
     _rational_from_residue,
 )
 from motzkin_autocount.algebra import MPoly
@@ -105,3 +110,117 @@ def test_rational_reconstruction_rejects_oversized_values():
     big = SIEVE_PRIME // 2 + 12345
     got = _rational_from_residue(big % SIEVE_PRIME, SIEVE_PRIME)
     assert got is None or got != Fraction(big)
+
+
+# incremental rank sieve -------------------------------------------------------
+
+
+def full_rank_mod_p(rows, ncols):
+    """From-scratch row reduction modulo SIEVE_PRIME: is the rank ncols?"""
+    p, mat, rank = SIEVE_PRIME, [[a % SIEVE_PRIME for a in row] for row in rows], 0
+    for c in range(ncols):
+        pr = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[rank], mat[pr] = mat[pr], mat[rank]
+        inv = pow(mat[rank][c], p - 2, p)
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][c] * inv % p
+            mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank == ncols
+
+
+def truncated_powers(values, top):
+    powers = [[1] + [0] * (len(values) - 1)]
+    for _ in range(top):
+        prev = powers[-1]
+        powers.append([sum(prev[k] * values[m - k] for k in range(m + 1))
+                       for m in range(len(values))])
+    return powers
+
+
+def fit_matrix(values, dp, dx):
+    """The pair's fit rows, orders below n - dp - HOLDOUT, built directly."""
+    powers = truncated_powers(values, dp)
+    cols = [(i, j) for i in range(dp + 1) for j in range(dx + 1)]
+    nfit = len(values) - dp - HOLDOUT
+    return _fit_rows(powers, cols, 0, nfit), len(cols)
+
+
+def spec_sequences():
+    finite = st.frozensets(st.integers(1, 3), max_size=2).map(
+        lambda s: "{" + ",".join(map(str, sorted(s))) + "}")
+    literal = st.one_of(finite, st.sampled_from(["{2*r+1}", "{2*r+2}", "{r+2}"]))
+    spec = st.builds(
+        lambda c, d, e: RestrictionSpec(up_runs=parse_stepset(c), down_runs=parse_stepset(d),
+                                        flat_runs=parse_stepset(e)),
+        literal, literal, literal)
+    return st.builds(lambda sp, n: sequence(sp, n), spec, st.integers(14, 40))
+
+
+SEQUENCES = st.one_of(
+    st.lists(st.integers(-3, 3), min_size=8, max_size=40),
+    st.lists(st.integers(-10**20, 10**20), min_size=8, max_size=30),
+    spec_sequences(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEQUENCES, st.integers(1, 3), st.integers(0, 9))
+def test_sieve_verdicts_match_a_from_scratch_rank(values, max_p, max_x):
+    n = len(values)
+    pow_mod = [[c % SIEVE_PRIME for c in row] for row in truncated_powers(values, max_p)]
+    for dp in range(1, max_p + 1):
+        sieve = _ColumnSieve(pow_mod, dp, n - dp - HOLDOUT)
+        for dx in range(max_x + 1):
+            assert sieve.full_rank(dx) == full_rank_mod_p(*fit_matrix(values, dp, dx)), (dp, dx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEQUENCES, st.integers(1, 3), st.integers(0, 6), st.integers(0, 5))
+def test_only_rank_deficient_pairs_reach_the_per_pair_reduction(values, max_p, max_x, margin):
+    cfg = GuessConfig(max_p, max_x, margin)
+    if len(values) < cfg.min_terms():
+        return
+    reached = []
+    candidates = guesser._modular_candidates
+
+    def spy(pow_mod, cols, nrows):
+        reached.append(cols[-1])
+        return candidates(pow_mod, cols, nrows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(guesser, "_modular_candidates", spy)
+        F = guess_algebraic(values, cfg)
+    n = len(values)
+    deficient = [
+        (dp, dx) for dp, dx in _pair_schedule(max_p, max_x)
+        if n - dp >= (dp + 1) * (dx + 1) + margin
+        and not full_rank_mod_p(*fit_matrix(values, dp, dx))
+    ]
+    # the search stops at its first hit; a miss visits every deficient pair
+    assert reached == deficient[:len(reached)]
+    assert F is not None or reached == deficient
+
+
+def test_sieve_settles_the_pairs_without_a_relation():
+    reductions = []
+    nullspace = guesser._nullspace
+
+    def counting(*args):
+        reductions.append(args[1])
+        return nullspace(*args)
+
+    ones = RestrictionSpec(up_runs=parse_stepset("{1}"), down_runs=parse_stepset("{1}"),
+                           flat_runs=parse_stepset("{1}"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(guesser, "_nullspace", counting)
+        # no relation within (3, 24): every pair has full rank mod the prime
+        assert guess_algebraic(sequence(ones, 125), GuessConfig(3, 24)) is None
+        assert reductions == []
+        # under loose bounds only the quadratic's pair is rank deficient
+        # before the search stops there
+        F = guess_algebraic(motzkin_numbers(29), GuessConfig(3, 3))
+        assert poly_text(F) == "x^2*P^2 + (x-1)*P + 1"
+        assert reductions == [9]
