@@ -10,19 +10,14 @@ guess (sequence to polynomial), fab / fcde (symbolic derivation), verify
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .algebra import MPoly, Series, poly_json_terms, poly_text, series_vanishes
 from .guesser import GuessConfig, guess_algebraic, verify_guess
 from .numeric_dp import DPTable, SpecError, sequence
-from .oracle import (
-    OracleGuardError,
-    _check_guard,
-    count_restricted,
-    list_restricted,
-    oracle_guard,
-)
+from .oracle import OracleGuardError, list_restricted, oracle_guard, oracle_sequence
 from .stepset import EMPTY, RestrictionSpec, StepSetError, parse_stepset
 from .symbolic import (
     build_peak_valley_system,
@@ -65,6 +60,7 @@ def _add_format_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
+@functools.cache  # once per process: a build takes 1.4 ms or more
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="motzkin-autocount",
@@ -155,8 +151,7 @@ def _cmd_oracle(args) -> int:
             for p in paths:
                 print(p)
         return EXIT_OK
-    _check_guard(args.N)
-    counts = [count_restricted(n, spec) for n in range(args.N + 1)]
+    counts = oracle_sequence(spec, args.N)
     if args.format == "json":
         _emit_json({"command": "oracle", "spec": spec.describe(), "N": args.N,
                     "counts": counts})
@@ -229,9 +224,7 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"{e}; the fab command handles height-0 restrictions") from e
 
     top = min(args.N, oracle_guard())
-    agree = all(
-        count_restricted(n, spec) == table.count(n) for n in range(top + 1)
-    )
+    agree = oracle_sequence(spec, top) == [table.count(n) for n in range(top + 1)]
     first = "PASS" if agree else "FAIL"
 
     if pv and runs:

@@ -1,25 +1,34 @@
 """Brute-force reference counts by explicit path enumeration.
 
 Paths are step strings over the alphabet {U, D, F}.  Every restriction is
-checked by direct pattern scanning on the finished path, with no sharing of
-logic with the dynamic-programming or symbolic engines; this module is the
-ground truth the faster routes are validated against.  A guard refuses
-lengths above MOTZKIN_ORACLE_GUARD (default 18) because the enumeration is
-exponential; counting and listing check it before they generate a path.
+read off each path itself, with no sharing of logic with the
+dynamic-programming or symbolic engines; this module is the ground truth
+the faster routes are validated against.  A guard refuses lengths above
+MOTZKIN_ORACLE_GUARD (default 18) because the enumeration is exponential;
+counting and listing check it before they generate or walk a path.
 
-Counting sums over feature-set classes.  The admission rule (``_admits``)
-reads each feature list of a path only as ``any(v in S for v in lst)``, and
-``is_flat_only`` as a flag.  The first depends only on the set of values in
-``lst``, so two paths whose feature lists have the same value sets and that
-agree on ``is_flat_only`` get the same verdict under every spec.  For each
-length the paths are streamed from the generator, scanned once with
-``features`` and tallied by that key (``feature_classes``), and
-``count_restricted(n, spec)`` is the sum of the multiplicities of the
-classes the spec admits.  Counting caches only the per-length table of
-(class, multiplicity) pairs, never the paths: at length 13 the 15,511 paths
-fall into 1,077 classes.  ``list_restricted`` still filters every path of
-``enumerate_motzkin`` (whose cache keeps the path tuples) with ``admits``,
-and is the reference the class count is tested against.
+Admission reads only bitmasks.  A path's features have five slots (peak
+and valley heights, up-, down- and flat-run lengths), and bit v of a slot
+is set when some feature of that kind has value v (``feature_masks``).  A
+spec's forbidden values 0..n take the same form (``forbidden_masks``, built
+with ``StepSet`` membership), and a path is admitted when each slot ANDs to
+zero with its forbidden slot.  A flat-only path (the empty one included)
+sets peak bit 0: every real peak follows a U step, so has height >= 1.
+
+A count sums the multiplicities of the admitted mask classes, since paths
+with equal masks get equal verdicts.  ``feature_classes(n)`` tallies them in
+one depth-first walk, spec-free, where each leaf is exactly one path.  The
+walk keeps the height, the kind and length of the current run and the last
+non-flat step.  A run is closed when a step of another kind starts or the
+path ends, as ``features`` splits maximal blocks; a D after a last non-flat
+U ends a ``U F* D`` whose peak height is the height before that D (flats
+keep the height after the U), and a valley ``D F* U`` likewise.  So each
+leaf tallies ``feature_masks(features(path))``, without a path string being
+built or rescanned.  Only the per-length tables are cached, never the
+paths: at length 13 the 15,511 paths fall into 1,077 classes.
+``list_restricted`` filters the paths of ``enumerate_motzkin`` (whose cache
+keeps them) with ``admits``; it and ``features`` are the references the
+walk and the class count are tested against.
 """
 
 from __future__ import annotations
@@ -133,20 +142,30 @@ def features(path: str) -> PathFeatures:
     )
 
 
-def _admits(spec: RestrictionSpec, ft: PathFeatures) -> bool:
-    if ft.is_flat_only and 0 in spec.peaks:
-        return False
-    if any(h in spec.peaks for h in ft.peaks):
-        return False
-    if any(h in spec.valleys for h in ft.valleys):
-        return False
-    if any(r in spec.up_runs for r in ft.up_runs):
-        return False
-    if any(r in spec.down_runs for r in ft.down_runs):
-        return False
-    if any(r in spec.flat_runs for r in ft.flat_runs):
-        return False
-    return True
+# bit v of a slot: value v among peak / valley heights, up / down / flat runs
+Masks = tuple[int, int, int, int, int]
+
+
+def feature_masks(ft: PathFeatures) -> Masks:
+    """The mask form of ``ft``; a flat-only path sets peak bit 0."""
+    masks = [sum({1 << v for v in vals}) for vals in (
+        ft.peaks, ft.valleys, ft.up_runs, ft.down_runs, ft.flat_runs)]
+    masks[0] |= ft.is_flat_only
+    return tuple(masks)
+
+
+@lru_cache(maxsize=64)  # admits asks for the masks once per path
+def forbidden_masks(spec: RestrictionSpec, n: int) -> Masks:
+    """The values 0..n that the spec forbids, slot by slot."""
+    return tuple(
+        sum(1 << v for v in range(n + 1) if v in s)
+        for s in (spec.peaks, spec.valleys, spec.up_runs, spec.down_runs, spec.flat_runs)
+    )
+
+
+def _admitted(m: Masks, f: Masks) -> bool:
+    # written out slot by slot: a generator over zip() took five times as long
+    return not (m[0] & f[0] or m[1] & f[1] or m[2] & f[2] or m[3] & f[3] or m[4] & f[4])
 
 
 def admits(spec: RestrictionSpec, path: str) -> bool:
@@ -156,7 +175,7 @@ def admits(spec: RestrictionSpec, path: str) -> bool:
     having a peak at height 0, so it is rejected exactly when 0 is a
     forbidden peak height.
     """
-    return _admits(spec, features(path))
+    return _admitted(feature_masks(features(path)), forbidden_masks(spec, len(path)))
 
 
 def _check_guard(n: int) -> None:
@@ -169,24 +188,40 @@ def _check_guard(n: int) -> None:
 
 
 @lru_cache(maxsize=32)
-def feature_classes(n: int) -> tuple[tuple[PathFeatures, int], ...]:
-    """The feature-set classes of the paths of length n, with multiplicities.
+def feature_classes(n: int) -> tuple[tuple[Masks, int], ...]:
+    """The feature masks of the paths of length n, with multiplicities, by one walk."""
+    w = n + 1  # run lengths share one int: bit w*kind + length, kind U/D/F = 0/1/2
+    low = (1 << w) - 1
+    tally: Counter = Counter()
 
-    A class is a ``PathFeatures`` whose lists hold the distinct values of a
-    path's lists in increasing order; see the module docstring for why
-    ``_admits`` gives every path of a class the verdict of its class.
-    """
-    tally = Counter(
-        (frozenset(ft.peaks), frozenset(ft.valleys), frozenset(ft.up_runs),
-         frozenset(ft.down_runs), frozenset(ft.flat_runs), ft.is_flat_only)
-        for ft in map(features, motzkin_paths(n))
-    )
-    # tallied by plain tuples: a frozen dataclass per path made the tally
-    # about four times slower
-    return tuple(
-        (PathFeatures(*(tuple(sorted(vals)) for vals in key[:5]), key[5]), mult)
-        for key, mult in tally.items()
-    )
+    def walk(left, h, kind, run, last, peaks, valleys, runs):
+        # kind, run: the current run; last: the last U (0) or D (1) step
+        if not left:
+            if run:
+                runs |= 1 << (w * kind + run)
+            tally[(peaks | (last is None), valleys,
+                   runs & low, runs >> w & low, runs >> 2 * w)] += 1
+            return
+        left -= 1  # each branch keeps h >= 0 and h <= left, so the path can end at 0
+        closed = runs | 1 << (w * kind + run) if run else runs
+        if h < left:  # U; after D F*, a valley at height h
+            if kind == 0:
+                walk(left, h + 1, 0, run + 1, 0, peaks, valleys, runs)
+            else:
+                walk(left, h + 1, 0, 1, 0, peaks,
+                     valleys | 1 << h if last == 1 else valleys, closed)
+        if h:  # D; after U F*, a peak at height h
+            if kind == 1:
+                walk(left, h - 1, 1, run + 1, 1, peaks, valleys, runs)
+            else:
+                walk(left, h - 1, 1, 1, 1, peaks | 1 << h if last == 0 else peaks,
+                     valleys, closed)
+        if h <= left:  # F
+            walk(left, h, 2, run + 1 if kind == 2 else 1, last, peaks, valleys,
+                 runs if kind == 2 else closed)
+
+    walk(n, 0, None, 0, None, 0, 0, 0)
+    return tuple(tally.items())
 
 
 def list_restricted(n: int, spec: RestrictionSpec) -> list[str]:
@@ -195,13 +230,19 @@ def list_restricted(n: int, spec: RestrictionSpec) -> list[str]:
     return [p for p in enumerate_motzkin(n) if admits(spec, p)]
 
 
+def _count(n: int, forbidden: Masks) -> int:
+    return sum(mult for masks, mult in feature_classes(n) if _admitted(masks, forbidden))
+
+
 def count_restricted(n: int, spec: RestrictionSpec) -> int:
-    """The number of admitted paths of length n, summed over feature-set classes."""
+    """The number of admitted paths of length n, summed over feature classes."""
     _check_guard(n)
-    return sum(mult for cls, mult in feature_classes(n) if _admits(spec, cls))
+    return _count(n, forbidden_masks(spec, n))
 
 
 def oracle_sequence(spec: RestrictionSpec, n: int) -> list[int]:
     """Counts for lengths 0..n by direct enumeration."""
     _check_guard(n)
-    return [count_restricted(m, spec) for m in range(n + 1)]
+    # no feature of a path of length m <= n exceeds m, so the masks up to n serve every m
+    forbidden = forbidden_masks(spec, n)
+    return [_count(m, forbidden) for m in range(n + 1)]

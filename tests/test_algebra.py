@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from motzkin_autocount.algebra import (
@@ -98,7 +98,13 @@ def ref_div(f, g):
             return None
         c = rem[fe] / g[ge]
         q[de] = c
-        rem = ref_add(rem, ref_mul({de: c}, g), -1)
+        try:
+            rem = ref_add(rem, ref_mul({de: c}, g), -1)
+        except Overflow:
+            # an exact quotient q never steps past MAX_EXP: each de is a term
+            # of q, and deg q + deg g = deg f in every variable, so g does
+            # not divide f
+            return None
     return q
 
 
@@ -229,8 +235,19 @@ def test_term_view_and_order_match_exponent_tuples(case):
     assert (sorted(F._t) < sorted(G._t)) == (sorted(f) < sorted(g))
 
 
+SIX = make_ring(*(f"v{i}" for i in range(6)))
+
+
+def _ends(a, b):
+    return (a, 0, 0, 0, 0, b)
+
+
 @settings(max_examples=80, deadline=None)
 @given(wide_case(3, exps=UNDER_HALF))
+# the long division of f*g + h by g would step past MAX_EXP: a miss
+@example((SIX, [{_ends(1, 16383): Fraction(1), _ends(0, 16383): Fraction(1)},
+                {_ends(1, 0): Fraction(1), _ends(0, 16382): Fraction(1)},
+                {_ends(2, 16383): Fraction(-1)}]))
 def test_exact_div_hits_and_misses_match_the_reference(case):
     ring, (f, g, h) = case
     if not g:

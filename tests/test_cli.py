@@ -9,9 +9,9 @@ from motzkin_autocount import (
     enumerate_motzkin,
     motzkin_numbers,
     numeric_dp,
-    oracle,
     symbolic,
 )
+from motzkin_autocount.oracle import feature_classes
 
 MOTZKIN_LINE = "1,1,2,4,9,21,51,127,323,835,2188"
 
@@ -89,13 +89,25 @@ def test_oracle_json_paths(run_cli):
 
 def test_oracle_respects_the_guard(run_cli, monkeypatch, refuse_paths):
     monkeypatch.setenv("MOTZKIN_ORACLE_GUARD", "8")
-    before = enumerate_motzkin.cache_info(), oracle.feature_classes.cache_info()
+    before = enumerate_motzkin.cache_info(), feature_classes.cache_info()
     rc, _, err = run_cli("oracle", "--N", "25")
     assert rc == 1
     assert "MOTZKIN_ORACLE_GUARD" in err
     # refused before enumerating any length
-    assert (enumerate_motzkin.cache_info(),
-            oracle.feature_classes.cache_info()) == before
+    assert (enumerate_motzkin.cache_info(), feature_classes.cache_info()) == before
+
+
+def test_one_parser_serves_every_call(run_cli):
+    argvs = [("seq", "--N", "x"), ("--help",), ("seq", "--N", "5")]
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(*argv))
+    # the parser built for the last call now serves all three
+    reused = [run_cli(*argv) for argv in argvs]
+    assert reused == fresh
+    assert [rc for rc, _, _ in reused] == [1, 0, 0]
+    assert cli.build_parser.cache_info().currsize == 1
 
 
 def test_guess_motzkin(run_cli):

@@ -1,5 +1,7 @@
 """Brute-force enumeration: path validity, feature extraction, guard."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,9 @@ from motzkin_autocount.oracle import (
     OracleGuardError,
     admits,
     feature_classes,
+    feature_masks,
     is_motzkin,
+    motzkin_paths,
     oracle_guard,
 )
 
@@ -157,22 +161,26 @@ def test_oracle_sequence_checks_the_guard_before_enumerating(monkeypatch, refuse
     assert (enumerate_motzkin.cache_info(), feature_classes.cache_info()) == before
 
 
-def test_oracle_sequence_streams_the_paths(monkeypatch):
-    generated = []
-    real = oracle.motzkin_paths
+def test_oracle_sequence_walks_each_length_once(monkeypatch):
+    def no_strings(n):
+        raise AssertionError(f"path strings of length {n} generated")
 
-    def recording(n):
-        generated.append(n)
-        return real(n)
-
-    monkeypatch.setattr(oracle, "motzkin_paths", recording)
+    monkeypatch.setattr(oracle, "motzkin_paths", no_strings)
     feature_classes.cache_clear()
     before = enumerate_motzkin.cache_info()
     assert oracle_sequence(spec(), 12) == MOTZKIN + [5798, 15511]
     # no tuple of paths is kept; one class table per length 0..12
     assert enumerate_motzkin.cache_info() == before
-    assert generated == list(range(13))
-    assert feature_classes.cache_info().currsize == 13
+    info = feature_classes.cache_info()
+    assert (info.misses, info.currsize) == (13, 13)
+
+
+def test_walk_tallies_the_features_of_every_path():
+    # the per-path scan is the reference; lengths 0..2 hold the empty and
+    # flat-only paths (peak bit 0) and paths ending in a flat run
+    for n in range(13):
+        scanned = Counter(feature_masks(features(p)) for p in motzkin_paths(n))
+        assert dict(feature_classes(n)) == scanned
 
 
 @settings(max_examples=40)
