@@ -106,10 +106,24 @@ def _divides(a: int, b: int, guard: int) -> bool:
 
 
 def _addmul(acc: dict, a: dict, b: dict) -> None:
-    """acc += a*b on packed terms; acc may hold zeros until _finish."""
+    """acc += a*b on packed terms; acc may hold zeros until _finish.
+
+    A square (a is b) visits each unordered pair of terms once and doubles
+    the cross terms, about half the products of the general loop.
+    """
+    get = acc.get
+    if a is b:
+        terms = list(a.items())
+        for i, (e1, c1) in enumerate(terms):
+            e = e1 + e1
+            acc[e] = get(e, 0) + c1 * c1
+            c1 += c1
+            for e2, c2 in terms[i + 1:]:
+                e = e1 + e2
+                acc[e] = get(e, 0) + c1 * c2
+        return
     if len(a) > len(b):
         a, b = b, a
-    get = acc.get
     items = b.items()
     for e1, c1 in a.items():
         for e2, c2 in items:
@@ -945,17 +959,17 @@ def is_reduced_groebner(G: Sequence[MPoly]) -> bool:
 # elimination ---------------------------------------------------------------
 
 
-def _substitute_linear(q: MPoly, name: str, c0: MPoly, c1: MPoly) -> MPoly:
-    """q with name := -c0/c1, cleared by c1**deg; equals the resultant up to sign."""
+def _substitute_linear(q: MPoly, name: str, lin: MPoly) -> MPoly:
+    """q with name := -c0/c1, the root of lin = c1*name + c0, cleared by
+    c1**deg_name(q); equals the resultant of q and lin up to sign."""
     cm = q.as_coeff_map(name)
     k = max(cm)
+    lm = lin.as_coeff_map(name)
     one = MPoly.const(q.ring, 1)
-    neg = -c0
-    pow0, pow1 = [one], [one]  # (-c0)**i and c1**i, as far as needed
-    while len(pow0) <= k:
-        pow0.append(pow0[-1] * neg)
-    while len(pow1) <= k - min(cm):
-        pow1.append(pow1[-1] * c1)
+    pow0, pow1 = [one], [one]  # (-c0)**i and c1**i, each even power a square
+    for pw, p, n in ((pow0, -lm.get(0, MPoly.zero(q.ring)), k), (pow1, lm[1], k - min(cm))):
+        for i in range(1, n + 1):
+            pw.append(pw[i // 2] * pw[i // 2] if i % 2 == 0 else pw[-1] * p)
     acc: dict = {}
     for i, qi in cm.items():
         _addmul(acc, (qi * pow0[i])._t, pow1[k - i]._t)
@@ -992,16 +1006,23 @@ def prem(f: MPoly, g: MPoly, v: str) -> MPoly:
 def pair_eliminant(f: MPoly, g: MPoly, v: str, strip: tuple = ()) -> MPoly:
     """A nonzero member of the ideal of f and g free of v, else zero.
 
-    Runs the primitive pseudo-remainder chain; far cheaper than a
-    Sylvester determinant and sufficient here because extraneous content
-    and factors are stripped downstream.  A zero return means the pair
-    shares a factor involving v and eliminates nothing.
+    Runs the primitive pseudo-remainder chain while the divisor b has
+    degree > 1 in v; far cheaper than a Sylvester determinant and
+    sufficient here because extraneous content and factors are stripped
+    downstream.  A linear b = b1*v + b0 ends the chain by substitution:
+    b1**k * a(-b0/b1), k = deg_v a, is the resultant of a and b up to
+    sign, so it lies in the ideal.  It equals the last prem of the chain
+    up to a constant whenever each pseudo-division step lowers deg_v by
+    exactly one, and otherwise differs by a power of b1.  A zero return
+    means the pair shares a factor involving v and eliminates nothing.
     """
     a, b = f, g
     if a.degree(v) < b.degree(v):
         a, b = b, a
-    while not b.is_zero() and b.degree(v) > 0:
+    while b.degree(v) > 1:
         a, b = b, prem(a, b, v)
+    if b.degree(v) == 1:
+        b = primitive_part(_substitute_linear(a, v, b))
     if b.is_zero() or not strip:
         return b
     return monomial_content_quotient(b, strip)
@@ -1088,13 +1109,10 @@ def eliminate_to_root(polys: Sequence[MPoly], root: str, base: str = "x") -> MPo
         new: list[MPoly] = []
         if linear:
             pivot = min(linear, key=lambda p: pivot_grade(p, v) + (len(p._t),))
-            cm = pivot.as_coeff_map(v)
-            c1 = cm[1]
-            c0 = cm.get(0, MPoly.zero(ring))
             for q in with_v:
                 if q is pivot:
                     continue
-                sub = primitive_part(_substitute_linear(q, v, c0, c1))
+                sub = primitive_part(_substitute_linear(q, v, pivot))
                 new.append(monomial_content_quotient(sub, (base,)))
         else:
             for f in with_v:

@@ -241,11 +241,6 @@ class RestrictionSpec:
             if 0 in getattr(self, name):
                 raise StepSetError(f"{name} must contain only positive integers")
 
-    def is_empty(self) -> bool:
-        return not any(
-            (self.peaks, self.valleys, self.up_runs, self.down_runs, self.flat_runs)
-        )
-
     def describe(self) -> dict[str, str]:
         return {
             "peaks": format_stepset(self.peaks),

@@ -209,14 +209,19 @@ def test_sum_and_difference_match_the_reference(case):
 
 @settings(max_examples=80, deadline=None)
 @given(wide_case(2))
+# a square whose doubled exponent steps past MAX_EXP
+@example((make_ring("v0", "v1"), [{(HALF + 1, 0): Fraction(3), (0, 1): Fraction(-1)}, {}]))
 def test_product_matches_the_reference_or_overflows(case):
     ring, (f, g) = case
-    want = expect(ref_mul, f, g)
-    if want is Overflow:
-        with pytest.raises(AlgebraError):
-            MPoly(ring, f) * MPoly(ring, g)
-    else:
-        assert (MPoly(ring, f) * MPoly(ring, g)).terms == want
+    F = MPoly(ring, f)
+    # F * F, one object on both sides, takes the square kernel
+    for G, g_ref in ((MPoly(ring, g), g), (F, f)):
+        want = expect(ref_mul, f, g_ref)
+        if want is Overflow:
+            with pytest.raises(AlgebraError):
+                F * G
+        else:
+            assert (F * G).terms == want
 
 
 @settings(max_examples=80, deadline=None)
@@ -430,6 +435,27 @@ def test_pair_eliminant_detects_common_roots():
     assert pair_eliminant(f, g, "P").is_zero()
     h = pair_eliminant(P * P - X, P - 1, "P")
     assert h.degree("P") == 0 and not h.is_zero()
+
+
+VPX = make_ring("v", "P", "x")
+V = MPoly.var(VPX, "v")
+FREE_OF_V = rand_polys(PX).map(lambda p: p.restrict(VPX))
+NONZERO_FREE_OF_V = FREE_OF_V.filter(lambda p: not p.is_zero())
+
+
+@settings(max_examples=60, deadline=None)
+@given(rand_polys(VPX).filter(lambda p: p.degree("v") > 0), FREE_OF_V, NONZERO_FREE_OF_V,
+       NONZERO_FREE_OF_V, FREE_OF_V, st.booleans())
+def test_pair_eliminant_with_a_linear_divisor_is_the_resultant(f, g0, g1, c, l0, shared):
+    g = g1 * V + g0
+    assert pair_eliminant(f, g, "v") == primitive_part(resultant(f, g, "v"))
+    # v + l0 is monic in v, so f shares a factor in v with c*(v + l0)
+    # exactly when v + l0 divides f
+    lin = V + l0
+    if shared:
+        f = f * lin
+    zero = pair_eliminant(f, c * lin, "v").is_zero()
+    assert zero == (exact_div(f, lin) is not None)
 
 
 # Groebner bases -------------------------------------------------------------

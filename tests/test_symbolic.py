@@ -1,5 +1,7 @@
 """Symbolic grammar expansion, reading arbitration, and equation solving."""
 
+import hashlib
+
 import pytest
 
 from motzkin_autocount import (
@@ -250,25 +252,34 @@ def test_solve_output_is_primitive_with_positive_lead(fcde_goldens):
 
 
 # (deg_P, deg_x, terms) of eliminate_to_root's result, before any stripping
-# or certification; a change of elimination branch shows here first
+# or certification, and a sha256 of its sorted terms; a change of elimination
+# branch shows in the sizes first, any other change of a term in the digest
 RAW_ELIMINANTS = [
-    ("fab", ("{1,4}", "{1,3}"), (2, 16, 48)),
-    ("fab", ("{2*r+1}", "{2*r+1}"), (2, 5, 11)),
-    ("fcde", ("{}", "{1}", "{1}"), (7, 85, 477)),
-    ("fcde", ("{2*r+1}", "{2*r+1}", "{2*r+1}"), (19, 408, 2327)),
-    ("fcde", ("{2*r+1}", "{}", "{2*r+2}"), (5, 56, 296)),
-    ("fcde", ("{1,2,3}", "{}", "{}"), (17, 204, 1900)),
+    ("fab", ("{1,4}", "{1,3}"), (2, 16, 48),
+     "fdbd6ba50531fc8a42aa133d5c48b081b2651602a2cb08bc1e1e2dae16a35a5f"),
+    ("fab", ("{2*r+1}", "{2*r+1}"), (2, 5, 11),
+     "ec5a8797cd7e3da346f31759d5444e750ce638b1bde64767ca69fc4685614f09"),
+    ("fcde", ("{}", "{1}", "{1}"), (7, 85, 477),
+     "1af372206d9e0c8d2e435376467cfe8dc3eb1dc7062a1bd9a7f194006031b0fb"),
+    ("fcde", ("{2*r+1}", "{2*r+1}", "{2*r+1}"), (19, 408, 2327),
+     "c5c0834797f86625781e1b119f76bf43a33941890619e76cbf246e01cacfce22"),
+    ("fcde", ("{2*r+1}", "{}", "{2*r+2}"), (5, 56, 296),
+     "6dc8a635f9c30f838724240ced8d8eb541fba4179f0a978e4761e2302b75b9c5"),
+    ("fcde", ("{1,2,3}", "{}", "{}"), (17, 204, 1900),
+     "5ca044d39e984b9ad6300958f703de104f77bfa2cd0ff40e9bd861331da20383"),
 ]
 
 
 def test_raw_eliminants_are_pinned():
     sizes = []
-    for kind, literals, want in RAW_ELIMINANTS:
+    for kind, literals, want, digest in RAW_ELIMINANTS:
         sets = [parse_stepset(t) for t in literals]
         system = (build_peak_valley_system if kind == "fab" else build_run_system)(*sets)
         q, _ = symbolic.raw_eliminant(system)
         sizes.append((q.degree(ROOT), q.degree(BASE), len(q.terms)))
         assert sizes[-1] == want, (kind, literals)
+        terms = repr(sorted(q.terms.items())).encode()
+        assert hashlib.sha256(terms).hexdigest() == digest, (kind, literals)
     # the first five are the derive goldens of the benchmark
     assert sum(p for p, _, _ in sizes[:5]) == 35
     assert sum(x for _, x, _ in sizes[:5]) == 570
