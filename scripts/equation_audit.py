@@ -3,8 +3,11 @@
 Two experiments:
 
   battery      random run specs; every generated equation is checked as a
-               counting identity (audit_system) and the root series from
-               rule iteration is compared with the enumeration oracle.
+               counting identity (audit_system), the root series from
+               rule iteration is compared with the enumeration oracle, and
+               the guess-and-prove route is run: the line shows the degrees
+               (deg_P, deg_x) of the equation it proved, or that it
+               declined.  Elimination never runs here.
   arbitration  the 2 x 2 x 2 grid of slot readings on one spec, with and
                without inactive-slot merging: state count, audit violations,
                and the first length where the root series leaves the oracle.
@@ -19,7 +22,12 @@ import argparse
 import random
 
 from motzkin_autocount import RestrictionSpec, StepSet, oracle_sequence, parse_stepset
-from motzkin_autocount.symbolic import audit_system, build_run_system, iterate_series
+from motzkin_autocount.symbolic import (
+    audit_system,
+    build_run_system,
+    guess_and_prove,
+    iterate_series,
+)
 
 POOL = ["{}", "{1}", "{2}", "{3}", "{1,2}", "{1,3}", "{2*r+1}", "{2*r+2}", "{r+2}"]
 
@@ -30,21 +38,23 @@ def random_sets(rng: random.Random) -> tuple[StepSet, StepSet, StepSet]:
 
 def battery(count: int, n: int, seed: int) -> int:
     rng = random.Random(seed)
-    bad = 0
+    bad = proved = 0
     for i in range(count):
         C, D, E = random_sets(rng)
         system = build_run_system(C, D, E)
+        spec = RestrictionSpec(up_runs=C, down_runs=D, flat_runs=E)
         violations = audit_system(system, min(n, 8))
         got = iterate_series(system, n)
-        want = oracle_sequence(
-            RestrictionSpec(up_runs=C, down_runs=D, flat_runs=E), n
-        )
+        want = oracle_sequence(spec, n)
         ok = not violations and got == want
         bad += not ok
+        F = guess_and_prove(system, spec)
+        proved += F is not None
+        route = "declined" if F is None else f"proved ({F.degree('P')},{F.degree('x')})"
         tag = "ok " if ok else "BAD"
-        print(f"{tag} C={C!r} D={D!r} E={E!r} states={system.size()}"
-              + (f" violations={violations}" if violations else ""))
-    print(f"{count - bad}/{count} systems clean")
+        print(f"{tag} C={C!r} D={D!r} E={E!r} states={system.size()} route {route}"
+              + (f" violations={violations}" if violations else ""), flush=True)
+    print(f"{count - bad}/{count} systems clean, route proved {proved}/{count}")
     return bad
 
 

@@ -722,6 +722,8 @@ def det_bareiss(mat: list[list[MPoly]]) -> MPoly:
                 return MPoly.zero(ring)
         for i in range(k + 1, n):
             for j in range(k + 1, n):
+                if m[i][j].is_zero() and (m[i][k].is_zero() or m[k][j].is_zero()):
+                    continue  # a zero entry with a zero cross term stays zero
                 q = exact_div(_mul_sub(m[i][j], m[k][k], m[i][k], m[k][j]), prev)
                 assert q is not None, "Bareiss division must be exact"
                 m[i][j] = q
@@ -760,8 +762,8 @@ def linear_solve(mat: list[list[MPoly]], rhs: list[MPoly]) -> tuple[list[MPoly],
             row = a[i]
             low = row[k]
             for j in range(n + 1):
-                if j == k:
-                    continue
+                if j == k or row[j].is_zero() and (low.is_zero() or a[k][j].is_zero()):
+                    continue  # a zero entry with a zero cross term stays zero
                 q = exact_div(_mul_sub(row[j], piv, low, a[k][j]), prev)
                 assert q is not None, "fraction-free step must divide exactly"
                 row[j] = q

@@ -23,6 +23,10 @@ Gauss-Jordan elimination modulo the prime, whose candidates are recovered
 by rational reconstruction and re-verified exactly on every fit order,
 falling back to the same elimination over Q.  Acceptance never depends on
 the prime.
+
+guess_linear runs the same sieve and modular candidates on the columns
+x^j S_i of several given series, for a linear relation among them with
+polynomial coefficients.
 """
 
 from __future__ import annotations
@@ -277,8 +281,6 @@ def guess_algebraic(seq: Sequence, cfg: GuessConfig) -> MPoly | None:
                 sieves.pop(dp, None)  # every larger dx of this dp is skipped too
             continue
         nfit = L - HOLDOUT
-        cols = [(i, j) for i in range(dp + 1) for j in range(dx + 1)]
-        basis = None
         if sieves is not None:
             sieve = sieves.get(dp)
             if sieve is None:
@@ -288,21 +290,13 @@ def guess_algebraic(seq: Sequence, cfg: GuessConfig) -> MPoly | None:
                 del sieves[dp]
             if full:
                 continue
-            # rank deficient on the fit rows, hence on their first
-            # sieve_rows too: the candidate list is never empty
-            sieve_rows = min(nfit, unknowns + cfg.safety_margin + 3)
-            cand = _modular_candidates(pow_mod, cols, sieve_rows)
-            if cand is not None:
-                basis = [v for v in cand if _vanishes_through(powers, cols, v, nfit)] or None
+        cols = [(i, j) for i in range(dp + 1) for j in range(dx + 1)]
+        basis = None
+        if sieves is not None:
+            basis = _sieved_basis(powers, pow_mod, cols, nfit, cfg.safety_margin)
         if basis is None:
             basis = _nullspace(_fit_rows(powers, cols, 0, nfit), len(cols), RATIONALS)
-        if not basis:
-            continue
-        hold = _fit_rows(powers, cols, nfit, L)
-        passing = [
-            v for v in basis
-            if all(sum(c * row[k] for k, c in enumerate(v)) == 0 for row in hold)
-        ]
+        passing = _held_out(powers, cols, basis, nfit, L)
         if not passing:
             continue
         best = min(passing, key=lambda v: sum(1 for c in v if c != 0))
@@ -311,6 +305,67 @@ def guess_algebraic(seq: Sequence, cfg: GuessConfig) -> MPoly | None:
             if c:
                 terms[(i, j)] = c
         return primitive_part(MPoly(GUESS_RING, terms))
+    return None
+
+
+def _sieved_basis(
+    powers: list[Sequence], pow_mod: list[list[int]], cols: list[tuple[int, int]],
+    nfit: int, margin: int,
+) -> list[list] | None:
+    """Nullspace candidates of the columns modulo SIEVE_PRIME, each lifted
+    to rationals and re-verified exactly on the fit orders 0..nfit-1; None
+    if no candidate survives.  The columns are rank deficient on the fit
+    rows (the sieve found them so), hence on the first rows used here too,
+    so the candidate list is never empty."""
+    sieve_rows = min(nfit, len(cols) + margin + 3)
+    cand = _modular_candidates(pow_mod, cols, sieve_rows)
+    if cand is None:
+        return None
+    return [v for v in cand if _vanishes_through(powers, cols, v, nfit)] or None
+
+
+def _held_out(
+    powers: list[Sequence], cols: list[tuple[int, int]], basis: list[list], nfit: int, L: int
+) -> list[list]:
+    """The vectors of ``basis`` that also vanish on the held-out orders
+    nfit..L-1."""
+    hold = _fit_rows(powers, cols, nfit, L)
+    return [
+        v for v in basis
+        if all(sum(c * row[k] for k, c in enumerate(v)) == 0 for row in hold)
+    ]
+
+
+def guess_linear(series: Sequence[Sequence[int]], safety_margin: int = 5) -> list[list] | None:
+    """Polynomials c_0(x), ..., c_m(x) of least common degree bound dx with
+    sum_i c_i(x) S_i = 0 and c_m nonzero, for integer series S_0..S_m of
+    one length n, or None when no dx with (m+1)(dx+1) + safety_margin <= n
+    has one.  Each c_i comes as its x-coefficients, lowest first.
+
+    The columns x^j S_i are sieved modulo SIEVE_PRIME one x-degree at a
+    time (_ColumnSieve), and a rank-deficient dx takes the modular
+    candidates of guess_algebraic, re-verified exactly; as there, the last
+    HOLDOUT orders are withheld from the fit as a blind check.  Unlike
+    guess_algebraic there is no exact fallback: a relation whose
+    coefficients do not reconstruct modulo the prime is not found, which
+    only costs its caller the fast path.  The series are exact to n terms,
+    so every order below n counts.
+    """
+    n = len(series[0])
+    top = len(series) - 1
+    nfit = n - HOLDOUT
+    pow_mod = [[c % SIEVE_PRIME for c in s] for s in series]
+    sieve = _ColumnSieve(pow_mod, top, nfit)
+    dx = 0
+    while (top + 1) * (dx + 1) + safety_margin <= n:
+        if not sieve.full_rank(dx):
+            cols = [(i, j) for i in range(top + 1) for j in range(dx + 1)]
+            basis = _sieved_basis(series, pow_mod, cols, nfit, safety_margin) or []
+            passing = [v for v in _held_out(series, cols, basis, nfit, n) if any(v[-dx - 1:])]
+            if passing:
+                best = min(passing, key=lambda v: sum(1 for c in v if c != 0))
+                return [best[i * (dx + 1):(i + 1) * (dx + 1)] for i in range(top + 1)]
+        dx += 1
     return None
 
 

@@ -1,5 +1,5 @@
-"""Symbolic route: grammar decomposition to a polynomial system, then
-elimination down to one equation F(x, P) = 0.
+"""Symbolic route: grammar decomposition to a polynomial system, then one
+equation F(x, P) = 0, by guess and proof or by elimination.
 
 Two grammars are implemented.  The peak/valley grammar expands states
 (A, B) of forbidden peak and valley heights; each state contributes one
@@ -13,9 +13,11 @@ apply only to the run actually touching that end; for a one-run (all-flat)
 path the initial-slot constraint governs and the final slot is vacuous.
 
 Each built system admits the counting series of its root state as a
-solution; solve_system eliminates, checks the result against an
-independently computed reference series, and then searches for the minimal
-vanishing factor with the guesser plus an exact-division certificate.
+solution.  solve_system first tries guess_and_prove on run systems: the
+equation is guessed from the reference series and proved on the grammar
+itself, with no eliminant.  Peak/valley systems, and run systems the route
+declines, are eliminated; the minimal vanishing factor of the eliminant is
+then found with the guesser and certified by exact division.
 """
 
 from __future__ import annotations
@@ -24,11 +26,14 @@ import sys
 from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from itertools import groupby
+from operator import mul
 from typing import Iterable
 
 from .algebra import (
     MPoly,
+    _substitute_linear,
     Ring,
     Series,
     canonical_bivariate,
@@ -38,11 +43,13 @@ from .algebra import (
     linear_solve,
     make_ring,
     monomial_content_quotient,
+    poly_series_eval,
+    prem,
     primitive_part,
     series_vanishes,
     sqfree_part,
 )
-from .guesser import HOLDOUT, GuessConfig, guess_algebraic
+from .guesser import HOLDOUT, GuessConfig, guess_algebraic, guess_linear
 from .numeric_dp import DPTable
 from .oracle import OracleGuardError, enumerate_motzkin, oracle_guard, oracle_sequence
 from .stepset import EMPTY, RestrictionSpec, StepSet
@@ -447,41 +454,105 @@ def audit_system(system: EquationSystem, n: int = 8) -> list[str]:
     return bad
 
 
-def iterate_series(system: EquationSystem, n: int) -> list:
-    """Root coefficients 0..n obtained by fixpoint iteration of the rules.
+class GrammarSeries:
+    """Series of every state variable of a run system, order by order.
 
-    Independent of elimination and of the brute-force state oracle: the
-    run-grammar rules are evaluated as truncated series until every
-    variable stabilizes.  Weight-zero rule chains terminate, so each
-    sweep is monotone and the fixpoint is reached in finitely many
-    rounds.  Only run systems carry rule tuples; peak/valley systems
-    raise.
+    The constant terms are the least fixpoint of the rules at x = 0.  At
+    an order k >= 1 a step rule reads a lower order of its child, a fork
+    reads order k of both children, and a split v = same + left*root*right
+    reads order k of ``same`` and of each factor whose two partners both
+    have a nonzero constant term; every other order-k term of the product
+    has a zero factor.  These weight-zero dependencies are fixed by the
+    constant terms, so one topological order of them serves every order,
+    and a cycle among them raises SystemBuildError: the rules would not
+    determine the series.  Each split keeps root*right as a running
+    series, so one order costs O(k) per split.  Only run systems carry
+    rule tuples; peak/valley systems raise.
     """
-    rules = list(system.case_of.values())
-    if not all(isinstance(r, tuple) for r in rules):
-        raise SystemBuildError("series iteration needs a run-grammar system")
-    order = n + 1
-    zero = Series.from_values([0] * order)
-    one = Series.from_values([1] + [0] * (n))
-    g = {name: zero for name in system.case_of}
-    for round_ in range(4 * order + 8):
-        changed = False
-        for rule in rules:
-            kind, v = rule[0], rule[1]
-            if kind == "step":
-                new = g[rule[2]].shift(rule[3])
-            elif kind == "fork":
-                new = g[rule[2]] + g[rule[3]]
-                if rule[4]:
-                    new = new + one
+
+    def __init__(self, system: EquationSystem):
+        rules = list(system.case_of.values())
+        if not all(isinstance(r, tuple) for r in rules):
+            raise SystemBuildError("series iteration needs a run-grammar system")
+        self.root = root = system.root
+        self.rules = {r[1]: r for r in rules}
+        const = dict.fromkeys(self.rules, 0)
+        for _ in range(len(rules) + 1):
+            changed = False
+            for r in rules:
+                if r[0] == "step":
+                    new = 0
+                elif r[0] == "fork":
+                    new = const[r[2]] + const[r[3]] + r[4]
+                else:
+                    new = const[r[2]] + const[r[3]] * const[root] * const[r[4]]
+                if new != const[r[1]]:
+                    const[r[1]] = new
+                    changed = True
+            if not changed:
+                break
+        else:
+            raise SystemBuildError("constant terms of the rules did not stabilize")
+        self.coeffs = {v: [c] for v, c in const.items()}
+        # split name -> coefficients of root * right
+        self._products = {
+            r[1]: [const[root] * const[r[4]]] for r in rules if r[0] == "split"
+        }
+        self._schedule = self._weight_zero_order(const)
+
+    def _weight_zero_order(self, const: dict) -> list[str]:
+        deps = {}
+        for v, r in self.rules.items():
+            if r[0] == "step":
+                deps[v] = ()
+            elif r[0] == "fork":
+                deps[v] = (r[2], r[3])
             else:
-                new = g[rule[2]] + g[rule[3]] * g[system.root] * g[rule[4]]
-            if new.coeffs != g[v].coeffs:
-                g[v] = new
-                changed = True
-        if not changed:
-            return list(g[system.root].coeffs)
-    raise SystemBuildError("series iteration did not stabilize")
+                _, _, same, left, right = r
+                c_l, c_p, c_r = const[left], const[self.root], const[right]
+                deps[v] = (same,) + tuple(
+                    w for w, partners in ((left, c_p * c_r), (self.root, c_l * c_r), (right, c_l * c_p))
+                    if partners
+                )
+        try:
+            return list(TopologicalSorter(deps).static_order())
+        except CycleError:
+            raise SystemBuildError("the rules have a cycle of weight zero") from None
+
+    def extend(self, n: int) -> "GrammarSeries":
+        """Make every series hold the coefficients of orders 0..n-1."""
+        g, root, products = self.coeffs, self.root, self._products
+        P = g[root]
+        for k in range(len(P), n):
+            for series in g.values():
+                series.append(0)  # read only through a zero factor until set
+            for v in self._schedule:
+                r = self.rules[v]
+                if r[0] == "step":
+                    g[v][k] = g[r[2]][k - r[3]] if k >= r[3] else 0
+                elif r[0] == "fork":
+                    g[v][k] = g[r[2]][k] + g[r[3]][k]
+                else:
+                    _, _, same, left, right = r
+                    lft, prod = g[left], products[v]
+                    if lft[0]:
+                        # root and right are final at order k, see above
+                        prod.append(sum(map(mul, P, reversed(g[right][:k + 1]))))
+                    g[v][k] = g[same][k] + sum(map(mul, lft[1:k + 1], reversed(prod[:k])))
+                    if lft[0]:
+                        g[v][k] += lft[0] * prod[k]
+            for v, prod in products.items():
+                if len(prod) == k:
+                    prod.append(sum(map(mul, P, reversed(g[self.rules[v][4]]))))
+        return self
+
+
+def iterate_series(system: EquationSystem, n: int) -> list:
+    """Root coefficients 0..n from the rules alone (GrammarSeries).
+
+    Independent of elimination and of the brute-force state oracle.
+    """
+    return GrammarSeries(system).extend(n + 1).coeffs[system.root][: n + 1]
 
 
 # reference series ------------------------------------------------------------
@@ -629,18 +700,12 @@ def _consistency_error() -> RuntimeError:
     )
 
 
-def _certified_divisor(q: MPoly, spec: RestrictionSpec, tables: dict) -> MPoly | None:
-    """Smallest guessed divisor of q that annihilates the reference series.
+def _ladder(max_p: int, max_x: int) -> list[tuple[int, int]]:
+    """Guess bounds (2, 8), (3, 12), (4, 18), ... up to (max_p, max_x).
 
-    Guess bounds are staged upward so a low-degree minimal polynomial inside
-    a bloated eliminant is found from a short series; the certificate series
-    is then sized by the accepted polynomial, not the eliminant.  Raises the
-    construction-bug error if q itself fails its certificate.
+    The ladder is geometric, so each stage's series stays cheap relative to
+    the next and a low-degree answer never pays for a large bound.
     """
-    max_p = q.degree(ROOT)
-    max_x = q.degree(BASE)
-    # geometric ladder of bounds: each stage's series stays cheap relative
-    # to the next, so a low-degree answer never pays for the eliminant size
     raw = [(2, 8)]
     cap_p, cap_x = 3, 12
     while cap_p < max_p or cap_x < max_x:
@@ -652,16 +717,44 @@ def _certified_divisor(q: MPoly, spec: RestrictionSpec, tables: dict) -> MPoly |
         stage = (max(min(cap_p, max_p), 1), max(min(cap_x, max_x), 1))
         if stage not in stages:
             stages.append(stage)
-    stages.sort()
-    for cap_p, cap_x in stages:
-        cfg = GuessConfig(cap_p, cap_x)
-        need = cfg.min_terms() + 2 * HOLDOUT
-        values = reference_series(spec, need - 1, tables)
-        guess = guess_algebraic(values, cfg)
+    return sorted(stages)
+
+
+def _guess_at(stage: tuple[int, int], spec: RestrictionSpec, tables: dict, guesses: dict) -> MPoly | None:
+    """guess_algebraic on the reference series at one ladder stage; each
+    stage is guessed once per ``guesses`` dict."""
+    if stage not in guesses:
+        cfg = GuessConfig(*stage)
+        values = reference_series(spec, cfg.min_terms() + 2 * HOLDOUT - 1, tables)
+        guesses[stage] = guess_algebraic(values, cfg)
+    return guesses[stage]
+
+
+def _certified_divisor(
+    q: MPoly, spec: RestrictionSpec, tables: dict, guesses: dict | None = None
+) -> MPoly | None:
+    """Smallest guessed divisor F of q that provably annihilates P.
+
+    Guess bounds climb _ladder up to q's degrees; ``guesses`` holds the
+    stages guessed so far in this derivation.  The proof is the integral
+    domain argument.  q lies in the ideal of the system and the stripping
+    in solve_system keeps its root, so q(x, P) = 0.  F is divided out of q
+    while the division is exact, q = F^m * G, so F(P)^m * G(P) = 0 in
+    Q[[x]]; once G(x, S) has a nonzero coefficient among the truncation-safe
+    orders of the reference series S, G(P) != 0, hence F(P) = 0.  The check
+    that q itself vanishes on S is a self-consistency check of the grammar,
+    not a proof; a failure raises the construction-bug error.
+    """
+    guesses = {} if guesses is None else guesses
+    max_p = q.degree(ROOT)
+    max_x = q.degree(BASE)
+    for stage in _ladder(max_p, max_x):
+        guess = _guess_at(stage, spec, tables, guesses)
         if guess is None:
             continue
         candidate = primitive_part(guess.restrict(q.ring))
-        if exact_div(q, candidate) is None:
+        rest = exact_div(q, candidate)
+        if rest is None:
             continue
         dp = candidate.degree(ROOT)
         dx = candidate.degree(BASE)
@@ -671,9 +764,171 @@ def _certified_divisor(q: MPoly, spec: RestrictionSpec, tables: dict) -> MPoly |
             raise _consistency_error()
         if candidate == q:
             return q
-        if series_vanishes(candidate, s):
+        while (t := exact_div(rest, candidate)) is not None:
+            rest = t
+        safe = s.order - max(rest.degree(ROOT), 0)
+        if any(poly_series_eval(rest, s).coeffs[:safe]):
             return canonical_bivariate(candidate, ROOT, BASE)
     return None
+
+
+# guess and prove --------------------------------------------------------------
+
+# the last guess stage of the route: the answers of every fcde golden, and
+# of 14 of the 30 specs of the equation audit battery, are found by (6, 40)
+ROUTE_LAST_STAGE = (6, 40)
+# the x-degree at which the linear relations of the split variables are
+# given up; those of the specs above have x-degree at most 26
+RELATION_MAX_X = 60
+
+
+def _at_origin(p: MPoly, point: dict[str, int]) -> int | Fraction:
+    """p at x = 0, with the other variables at the values in ``point``."""
+    total = 0
+    for exps, c in p.terms.items():
+        for name, e in zip(p.ring, exps):
+            if e:
+                c = c * (0 if name == BASE else point[name] ** e)
+        total += c
+    return total
+
+
+def _split_relations(
+    engine: GrammarSeries, ring: Ring, splits: list[str], d: int, dx_start: int
+) -> dict[str, MPoly] | None:
+    """For every split variable v, D_v(x) * v - A_v(x, P) on ``ring`` with
+    deg_P A_v < d, guessed from the grammar series by guess_linear; or None
+    when some v has no such relation of x-degree up to RELATION_MAX_X.
+
+    The series grow along a geometric ladder of x-degree bounds that starts
+    at dx_start, and the powers P^0..P^(d-1) are extended with them, each
+    coefficient computed once.
+    """
+    P = engine.coeffs[engine.root]
+    powers = [[1], P] + [[] for _ in range(2, d)]
+    found: dict[str, MPoly] = {}
+    dx = dx_start
+    while True:
+        n = (d + 1) * (dx + 1) + 10
+        engine.extend(n)
+        powers[0] += [0] * (n - len(powers[0]))
+        for i in range(2, d):
+            low, cur = powers[i - 1], powers[i]
+            for k in range(len(cur), n):
+                cur.append(sum(map(mul, P[:k + 1], reversed(low[:k + 1]))))
+        for v in splits:
+            if v in found:
+                continue
+            rel = guess_linear([pw[:n] for pw in powers[:d]] + [engine.coeffs[v][:n]])
+            if rel is not None:
+                terms = {(0, i, j): c for i, cs in enumerate(rel[:-1]) for j, c in enumerate(cs)}
+                terms.update({(1, 0, j): c for j, c in enumerate(rel[-1])})
+                found[v] = primitive_part(MPoly(make_ring(v, ROOT, BASE), terms).restrict(ring))
+        if len(found) == len(splits) or dx >= RELATION_MAX_X:
+            return found if len(found) == len(splits) else None
+        dx = min(max(dx * 3 // 2, dx + 4), RELATION_MAX_X)
+
+
+def proof_holds(
+    polys: list[MPoly], den: MPoly, F: MPoly, relations: dict[str, MPoly], const: dict[str, int]
+) -> bool:
+    """Whether F(x, P) = 0 follows from the collapsed run system.
+
+    ``polys`` and ``den`` are what _collapse_linear_layer returns, F is on
+    the ring (P, x), ``relations`` maps each split variable v other than P
+    to D_v(x) * v - A_v(x, P) on the ring of ``polys``, and ``const``
+    holds the constant term of every state series.  The checks:
+
+    - F(0, P(0)) = 0 and dF/dP(0, P(0)) != 0;
+    - den(0) != 0, and for every v, D_v(0) != 0 and
+      A_v(0, P(0)) / D_v(0) equals v's constant term;
+    - every polynomial of ``polys``, with each v := A_v / D_v and the D_v
+      cleared, has pseudo-remainder 0 by F in P.
+
+    Why they prove F(P) = 0, given that the weight-zero dependencies of
+    the rules are acyclic (GrammarSeries raises otherwise).  By the
+    implicit function theorem F has one series root alpha with
+    alpha(0) = P(0).  Set v := A_v(x, alpha) / D_v(x), series since
+    D_v(0) != 0, and solve the step/fork layer from these values; its
+    solution is a quotient by den, again series since den(0) != 0.  The
+    zero pseudo-remainders make every split equation hold, so the tuple
+    (alpha, the splits, the linear layer) solves the system.  Its constant
+    terms are those of the counting series: alpha's and the splits' are
+    checked, and the linear layer's follow from them along the acyclic
+    forks.  Along the acyclic weight-zero order the system fixes each
+    order from the lower ones, so the tuple is the counting series, alpha
+    = P, and hence F(P) = 0.
+    """
+    dF = sum((c * i * MPoly.var(F.ring, ROOT) ** (i - 1)
+              for i, c in F.as_coeff_map(ROOT).items() if i), MPoly.zero(F.ring))
+    if _at_origin(F, const) != 0 or _at_origin(dF, const) == 0 or _at_origin(den, const) == 0:
+        return False
+    for v, rel in relations.items():
+        if _at_origin(rel.as_coeff_map(v)[1], const) == 0 or _at_origin(rel, const) != 0:
+            return False
+    d = F.degree(ROOT)
+    F_big = F.restrict(polys[0].ring)
+    for p in polys:
+        for v, rel in relations.items():
+            if p.degree(v) > 0:
+                # v := A_v / D_v, cleared by D_v**deg_v(p)
+                p = _substitute_linear(p, v, rel)
+                if p.degree(ROOT) >= d:
+                    p = prem(p, F_big, ROOT)
+        if p.degree(ROOT) >= d:
+            p = prem(p, F_big, ROOT)
+        if not p.is_zero():
+            return False
+    return True
+
+
+def guess_and_prove(
+    system: EquationSystem,
+    spec: RestrictionSpec,
+    tables: dict[RestrictionSpec, DPTable] | None = None,
+    guesses: dict | None = None,
+) -> MPoly | None:
+    """The equation of a run system by guess and proof, or None.
+
+    F is guessed from the reference series on _ladder up to
+    ROUTE_LAST_STAGE, each split variable v != P is guessed as a linear
+    relation D_v(x) * v = A_v(x, P) from the grammar series (GrammarSeries),
+    and proof_holds certifies F on the grammar itself, without an
+    eliminant.  The root's grammar series must agree with the reference
+    series on their common prefix, else the construction-bug error is
+    raised.  None means the route declines (a peak/valley system, no
+    guess, no relation, or a failed check), and the caller eliminates.
+    ``tables`` is shared with reference_series and ``guesses`` with
+    _certified_divisor, so no stage is guessed twice.
+    """
+    rules = list(system.case_of.values())
+    if not all(isinstance(r, tuple) for r in rules):
+        return None
+    tables = {} if tables is None else tables
+    guesses = {} if guesses is None else guesses
+    for stage in _ladder(*ROUTE_LAST_STAGE):
+        F = _guess_at(stage, spec, tables, guesses)
+        if F is not None:
+            break
+    else:
+        return None
+    try:
+        engine = GrammarSeries(system)
+    except SystemBuildError:
+        return None
+    splits = [r[1] for r in rules if r[0] == "split" and r[1] != system.root]
+    relations = _split_relations(engine, system.ring, splits, F.degree(ROOT), F.degree(BASE))
+    root = engine.coeffs[system.root]
+    used = GuessConfig(*stage).min_terms() + 2 * HOLDOUT
+    if root[:used] != reference_series(spec, min(len(root), used) - 1, tables):
+        raise _consistency_error()
+    if relations is None:
+        return None
+    polys, den = _collapse_linear_layer(system)
+    const = {v: c[0] for v, c in engine.coeffs.items()}
+    if not proof_holds(polys, den, F, relations, const):
+        return None
+    return canonical_bivariate(F, ROOT, BASE)
 
 
 def raw_eliminant(system: EquationSystem) -> tuple[MPoly, MPoly | None]:
@@ -693,10 +948,15 @@ def solve_system(
     spec: RestrictionSpec,
     tables: dict[RestrictionSpec, DPTable] | None = None,
 ) -> MPoly:
-    """Eliminate to (x, P), certify against the reference series, and
-    return the minimal certified factor (the full eliminant if no proper
+    """The equation of the system: proved by guess_and_prove where that
+    route succeeds, else eliminated to (x, P), and the minimal certified
+    factor of the eliminant returned (the full eliminant if no proper
     divisor is certified).  ``tables`` is shared with reference_series."""
     tables = {} if tables is None else tables
+    guesses: dict = {}
+    proved = guess_and_prove(system, spec, tables, guesses)
+    if proved is not None:
+        return proved
     q, den = raw_eliminant(system)
     q = canonical_bivariate(q, ROOT, BASE)
     # denominator clearing and resultants leave predictable extraneous
@@ -724,13 +984,15 @@ def solve_system(
         deg_p = q.degree(ROOT)
         deg_x = q.degree(BASE)
     if deg_p > 1:
-        found = _certified_divisor(q, spec, tables)
+        found = _certified_divisor(q, spec, tables, guesses)
         if found is not None:
             return found
         print(
             "warning: no proper certified divisor found; result may be non-minimal",
             file=sys.stderr,
         )
+    # q(P) = 0 because q lies in the ideal of the system; this check of a
+    # heuristic length tests the grammar's self-consistency, it proves nothing
     length = max(2 * deg_p * deg_x + 10, 30)
     values = reference_series(spec, length - 1, tables)
     s = Series.from_values(values)

@@ -25,6 +25,7 @@ from motzkin_autocount.guesser import (
     _fit_rows,
     _pair_schedule,
     _rational_from_residue,
+    guess_linear,
 )
 from motzkin_autocount.algebra import MPoly
 
@@ -51,6 +52,19 @@ def test_minimal_pair_wins_even_under_loose_bounds():
     assert poly_text(F) == "x^2*P^2 + (x-1)*P + 1"
     G = guess_algebraic([1] * 16, GuessConfig(2, 2))
     assert poly_text(G) == "(x-1)*P + 1"
+
+
+def test_linear_relation_of_least_x_degree():
+    m = motzkin_numbers(39)
+    square = [sum(m[i] * m[k - i] for i in range(k + 1)) for k in range(40)]
+    ones = [1] + [0] * 39
+    rel = guess_linear([ones, m, square])
+    # x^2 M^2 = (1 - x) M - 1, up to scale, found at x-degree 2
+    assert [len(c) for c in rel] == [3, 3, 3]
+    scale = Fraction(rel[2][2])
+    assert [[Fraction(c) / scale for c in cs] for cs in rel] == [[1, 0, 0], [-1, 1, 0], [0, 0, 1]]
+    # M is not rational: no relation with M as the last series takes part
+    assert guess_linear([ones, m]) is None
 
 
 def test_odd_height_spec_from_40_terms():

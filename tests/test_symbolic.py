@@ -11,23 +11,35 @@ from motzkin_autocount import (
     Series,
     fab,
     fcde,
+    motzkin_numbers,
     oracle_sequence,
     parse_stepset,
     poly_text,
     reference_series,
     sequence,
 )
-from motzkin_autocount.algebra import content, poly_series_eval, series_vanishes
+from motzkin_autocount.algebra import (
+    MPoly,
+    content,
+    gens,
+    make_ring,
+    poly_series_eval,
+    series_vanishes,
+)
 from motzkin_autocount import symbolic
 from motzkin_autocount.symbolic import (
     BASE,
     ROOT,
+    EquationSystem,
+    GrammarSeries,
     RunState,
     SystemBuildError,
     audit_system,
     build_peak_valley_system,
     build_run_system,
+    guess_and_prove,
     iterate_series,
+    proof_holds,
     state_series,
 )
 
@@ -285,6 +297,19 @@ def test_raw_eliminants_are_pinned():
     assert sum(x for _, x, _ in sizes[:5]) == 570
 
 
+def test_the_fallback_certificate_needs_a_nonzero_cofactor(monkeypatch):
+    ring = make_ring(ROOT, BASE)
+    g = gens(ring)
+    M = g[BASE] ** 2 * g[ROOT] ** 2 + (g[BASE] - 1) * g[ROOT] + 1
+    W = g[ROOT] - 1  # divides q, but the Motzkin series is not 1
+    # q = M * W vanishes on the series; the cofactor of W is M, which
+    # vanishes too, so nothing shows W(P) = 0
+    monkeypatch.setattr(symbolic, "guess_algebraic", lambda values, cfg: W)
+    assert symbolic._certified_divisor(M * W, RestrictionSpec(), {}) is None
+    monkeypatch.setattr(symbolic, "guess_algebraic", lambda values, cfg: M)
+    assert symbolic._certified_divisor(M * W, RestrictionSpec(), {}) == M
+
+
 def test_one_dp_table_per_spec_in_a_derivation(monkeypatch):
     built = []
 
@@ -348,3 +373,213 @@ def test_solve_system_rejects_nothing_but_failed_certificates(fcde_goldens):
     spec = run_spec(ODD, ODD, ODD)
     s = Series.from_values(sequence(spec, 30))
     assert poly_series_eval(F, s).is_zero()
+
+
+# order-by-order grammar series -------------------------------------------------
+
+
+def _fixpoint_series(system, n):
+    """Every state's series by whole-series fixpoint sweeps of the rules:
+    the former iterate_series, kept as the reference for GrammarSeries."""
+    order = n + 1
+    one = Series.from_values([1] + [0] * n)
+    g = {name: Series.from_values([0] * order) for name in system.case_of}
+    while True:
+        changed = False
+        for rule in system.case_of.values():
+            kind, v = rule[0], rule[1]
+            if kind == "step":
+                new = g[rule[2]].shift(rule[3])
+            elif kind == "fork":
+                new = g[rule[2]] + g[rule[3]]
+                if rule[4]:
+                    new = new + one
+            else:
+                new = g[rule[2]] + g[rule[3]] * g[system.root] * g[rule[4]]
+            if new != g[v]:
+                g[v] = new
+                changed = True
+        if not changed:
+            return {v: list(s.coeffs) for v, s in g.items()}
+
+
+BAD_READINGS = [
+    ((TWO, EMPTY, ONE), {"arch_flat_slots": "carry"}),
+    ((ONE, ONE, ONE), {"strip_end_start_slot": "reset"}),
+    ((ONE, ONE, ONE), {"strip_end_end_slot": "carry"}),
+]
+
+
+def test_grammar_series_of_every_state():
+    system = build_run_system(ONE, ONE, ONE)
+    got = GrammarSeries(system).extend(9).coeffs
+    for state, name in system.var_of.items():
+        assert got[name] == state_series(system.sets, state, 8), name
+    # a wrong reading's rules do not count its states, but the series are
+    # still the unique solution of those rules
+    for sets, reading in BAD_READINGS:
+        bad = build_run_system(*sets, merge_inactive_slots=False, **reading)
+        got = GrammarSeries(bad).extend(9).coeffs
+        assert got == _fixpoint_series(bad, 8), reading
+        for n in (0, 3, 8):
+            assert GrammarSeries(bad).extend(n + 1).coeffs == {
+                v: c[:n + 1] for v, c in got.items()
+            }
+
+
+def test_grammar_series_extends_in_steps():
+    system = build_run_system(ODD, EMPTY, EVEN_POS)
+    engine = GrammarSeries(system).extend(5).extend(5).extend(13)
+    assert engine.coeffs == GrammarSeries(system).extend(13).coeffs
+    assert engine.coeffs[ROOT] == sequence(run_spec(ODD, EMPTY, EVEN_POS), 12)
+
+
+def _rule_system(rules):
+    names = [r[1] for r in rules]
+    ring = make_ring(*[v for v in names if v != ROOT], ROOT, BASE)
+    return EquationSystem(ring, [], ROOT, case_of={r[1]: r for r in rules})
+
+
+def test_grammar_series_when_the_left_factor_counts_the_empty_path():
+    # P = s + l*P*r with s = 1 + x*P, l = 1, r = x^2*P: the Motzkin
+    # equation, in a shape the run grammar never builds (its left factors
+    # are nonempty), where the split reads order k of r
+    system = _rule_system([
+        ("split", ROOT, "s", "l", "r"),
+        ("fork", "s", "a", "z", 1),
+        ("step", "a", ROOT, 1),
+        ("step", "z", "z", 1),
+        ("fork", "l", "z", "z", 1),
+        ("step", "r", ROOT, 2),
+    ])
+    engine = GrammarSeries(system).extend(13)
+    assert engine.coeffs[ROOT] == motzkin_numbers(12)
+    assert engine.coeffs == _fixpoint_series(system, 12)
+
+
+def test_a_weight_zero_cycle_is_refused():
+    cycle = _rule_system([
+        ("fork", ROOT, "v1", "v2", 0),
+        ("fork", "v1", ROOT, "v2", 0),
+        ("step", "v2", ROOT, 1),
+    ])
+    with pytest.raises(SystemBuildError, match="cycle"):
+        GrammarSeries(cycle)
+    # the same fork through a step has weight one and is fine
+    chain = _rule_system([
+        ("fork", ROOT, "v1", "v2", 1),
+        ("step", "v1", ROOT, 1),
+        ("step", "v2", ROOT, 2),
+    ])
+    assert iterate_series(chain, 6) == [1, 1, 2, 3, 5, 8, 13]
+
+
+# guess and prove ---------------------------------------------------------------
+
+ALL_ONES_TEXT = (
+    "x^16*P^4 + (2*x^16-3*x^15+2*x^14+x^13-3*x^12+3*x^11-3*x^10+2*x^9-x^8)*P^3"
+    " + (-3*x^14+8*x^13-13*x^12+12*x^11-7*x^10+7*x^8-14*x^7+18*x^6-16*x^5"
+    "+10*x^4-4*x^3+x^2)*P^2 + (2*x^12-7*x^11+14*x^10-16*x^9+9*x^8+5*x^7"
+    "-18*x^6+24*x^5-23*x^4+17*x^3-10*x^2+4*x-1)*P + x^8 - 4*x^7 + 10*x^6"
+    " - 16*x^5 + 19*x^4 - 16*x^3 + 10*x^2 - 4*x + 1"
+)
+
+
+def _route(literals):
+    sets = [parse_stepset(t) for t in literals]
+    return guess_and_prove(build_run_system(*sets), run_spec(*sets))
+
+
+def test_route_proves_the_fcde_goldens(fcde_goldens):
+    cases = [(literals, want) for _, _, want, literals in fcde_goldens.values()]
+    cases += [
+        (("{1}", "{1}", "{1}"), ALL_ONES_TEXT),
+        (("{}", "{}", "{}"), "x^2*P^2 + (x-1)*P + 1"),
+        (("{}", "{}", "{r+1}"), "x^2*P^2 - P + 1"),
+    ]
+    for literals, want in cases:
+        F = _route(literals)
+        assert F is not None, literals
+        assert poly_text(F) == want, literals
+
+
+def test_elimination_prints_the_same_when_the_route_declines(monkeypatch, fcde_goldens):
+    monkeypatch.setattr(symbolic, "guess_and_prove", lambda *args: None)
+    for name in ("all_odd", "down_flat_1"):
+        _, _, want, literals = fcde_goldens[name]
+        assert poly_text(fcde(*[parse_stepset(t) for t in literals])) == want
+
+
+def test_no_stage_is_guessed_twice(monkeypatch):
+    stages = []
+    guess = symbolic.guess_algebraic
+
+    def counting(values, cfg):
+        stages.append((cfg.max_p_degree, cfg.max_x_degree))
+        return guess(values, cfg)
+
+    monkeypatch.setattr(symbolic, "guess_algebraic", counting)
+    monkeypatch.setattr(symbolic, "proof_holds", lambda *args: False)
+    F = fcde(ODD, ODD, ODD)
+    assert poly_text(F) == "x^4*P^2 + (x^2-1)*P + 1"
+    assert stages and len(stages) == len(set(stages))
+
+
+def _proof_inputs(literals):
+    """What guess_and_prove hands to proof_holds for one spec."""
+    sets = [parse_stepset(t) for t in literals]
+    system = build_run_system(*sets)
+    F = _route(literals)
+    engine = GrammarSeries(system)
+    splits = [r[1] for r in system.case_of.values() if r[0] == "split" and r[1] != ROOT]
+    relations = symbolic._split_relations(
+        engine, system.ring, splits, F.degree(ROOT), F.degree(BASE)
+    )
+    polys, den = symbolic._collapse_linear_layer(system)
+    const = {v: c[0] for v, c in engine.coeffs.items()}
+    return polys, den, F, relations, const
+
+
+def _bump(poly, exps):
+    return poly + MPoly(poly.ring, {exps: 1})
+
+
+def test_the_proof_refuses_mutants():
+    polys, den, F, relations, const = _proof_inputs(("{}", "{1}", "{1}"))
+    assert proof_holds(polys, den, F, relations, const)
+    # F with one coefficient changed
+    assert not proof_holds(polys, den, _bump(F, (1, 3)), relations, const)
+    # one coefficient of one A_v changed: the term x^2 * P
+    v, rel = next(iter(relations.items()))
+    wrong = dict(relations)
+    wrong[v] = rel + gens(rel.ring)[BASE] ** 2 * gens(rel.ring)[ROOT]
+    assert not proof_holds(polys, den, F, wrong, const)
+    # a linear layer whose denominator vanishes at x = 0
+    x = gens(den.ring)[BASE]
+    assert not proof_holds(polys, den * x, F, relations, const)
+
+
+def test_the_proof_pins_the_series_root_at_the_origin():
+    # (P - 1)^2 = x has no power series root through P(0) = 1, although the
+    # system's only equation is F itself and every other check passes
+    ring = make_ring(ROOT, BASE)
+    g = gens(ring)
+    F = (g[ROOT] - 1) ** 2 - g[BASE]
+    one = MPoly.const(ring, 1)
+    assert not proof_holds([F], one, F, {}, {ROOT: 1})
+    G = (g[ROOT] - 1) * (g[ROOT] + 1) - g[BASE]
+    assert proof_holds([G], one, G, {}, {ROOT: 1})
+    assert not proof_holds([G], one, G, {}, {ROOT: 2})  # G(0, 2) != 0
+    # v^2 = P^2 holds on both v = P and v = -P modulo F; only the branch
+    # with v's constant term is the counting series
+    F = g[BASE] * g[ROOT] ** 2 - g[ROOT] + 1
+    big = make_ring("v", ROOT, BASE)
+    h = gens(big)
+    polys = [F.restrict(big), h["v"] ** 2 - h[ROOT] ** 2]
+    const = {ROOT: 1, "v": 1}
+    assert proof_holds(polys, one, F, {"v": h["v"] - h[ROOT]}, const)
+    assert not proof_holds(polys, one, F, {"v": h["v"] + h[ROOT]}, const)
+    # x*v = P holds on v = P/x, which is no power series: D_v(0) = 0
+    polys = [F.restrict(big), h[BASE] * h["v"] - h[ROOT]]
+    rel = h[BASE] ** 2 * h["v"] - h[BASE] * h[ROOT]
+    assert not proof_holds(polys, one, F, {"v": rel}, const)
