@@ -6,8 +6,9 @@ Two experiments:
                counting identity (audit_system), the root series from
                rule iteration is compared with the enumeration oracle, and
                the guess-and-prove route is run: the line shows the degrees
-               (deg_P, deg_x) of the equation it proved, or that it
-               declined.  Elimination never runs here.
+               (deg_P, deg_x) of the equation it proved, that it declined,
+               or that it found the root series inconsistent with the DP
+               (the spec then counts as BAD).  Elimination never runs here.
   arbitration  the 2 x 2 x 2 grid of slot readings on one spec, with and
                without inactive-slot merging: state count, audit violations,
                and the first length where the root series leaves the oracle.
@@ -47,10 +48,15 @@ def battery(count: int, n: int, seed: int) -> int:
         got = iterate_series(system, n)
         want = oracle_sequence(spec, n)
         ok = not violations and got == want
+        try:
+            F = guess_and_prove(system, spec)
+        except RuntimeError:
+            # the root series left the DP past the n terms compared above
+            ok, route = False, "inconsistent"
+        else:
+            proved += F is not None
+            route = "declined" if F is None else f"proved ({F.degree('P')},{F.degree('x')})"
         bad += not ok
-        F = guess_and_prove(system, spec)
-        proved += F is not None
-        route = "declined" if F is None else f"proved ({F.degree('P')},{F.degree('x')})"
         tag = "ok " if ok else "BAD"
         print(f"{tag} C={C!r} D={D!r} E={E!r} states={system.size()} route {route}"
               + (f" violations={violations}" if violations else ""), flush=True)

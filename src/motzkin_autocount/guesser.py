@@ -44,6 +44,8 @@ GUESS_RING: Ring = make_ring("P", "x")
 
 HOLDOUT = 5
 
+SAFETY_MARGIN = 5
+
 SIEVE_PRIME = (1 << 61) - 1
 
 
@@ -51,7 +53,7 @@ SIEVE_PRIME = (1 << 61) - 1
 class GuessConfig:
     max_p_degree: int
     max_x_degree: int
-    safety_margin: int = 5
+    safety_margin: int = SAFETY_MARGIN
 
     def __post_init__(self):
         if self.max_p_degree < 0 or self.max_x_degree < 0 or self.safety_margin < 0:
@@ -336,10 +338,10 @@ def _held_out(
     ]
 
 
-def guess_linear(series: Sequence[Sequence[int]], safety_margin: int = 5) -> list[list] | None:
+def guess_linear(series: Sequence[Sequence[int]]) -> list[list] | None:
     """Polynomials c_0(x), ..., c_m(x) of least common degree bound dx with
     sum_i c_i(x) S_i = 0 and c_m nonzero, for integer series S_0..S_m of
-    one length n, or None when no dx with (m+1)(dx+1) + safety_margin <= n
+    one length n, or None when no dx with (m+1)(dx+1) + SAFETY_MARGIN <= n
     has one.  Each c_i comes as its x-coefficients, lowest first.
 
     The columns x^j S_i are sieved modulo SIEVE_PRIME one x-degree at a
@@ -357,10 +359,10 @@ def guess_linear(series: Sequence[Sequence[int]], safety_margin: int = 5) -> lis
     pow_mod = [[c % SIEVE_PRIME for c in s] for s in series]
     sieve = _ColumnSieve(pow_mod, top, nfit)
     dx = 0
-    while (top + 1) * (dx + 1) + safety_margin <= n:
+    while (top + 1) * (dx + 1) + SAFETY_MARGIN <= n:
         if not sieve.full_rank(dx):
             cols = [(i, j) for i in range(top + 1) for j in range(dx + 1)]
-            basis = _sieved_basis(series, pow_mod, cols, nfit, safety_margin) or []
+            basis = _sieved_basis(series, pow_mod, cols, nfit, SAFETY_MARGIN) or []
             passing = [v for v in _held_out(series, cols, basis, nfit, n) if any(v[-dx - 1:])]
             if passing:
                 best = min(passing, key=lambda v: sum(1 for c in v if c != 0))

@@ -896,13 +896,15 @@ def guess_and_prove(
     and proof_holds certifies F on the grammar itself, without an
     eliminant.  The root's grammar series must agree with the reference
     series on their common prefix, else the construction-bug error is
-    raised.  None means the route declines (a peak/valley system, no
-    guess, no relation, or a failed check), and the caller eliminates.
+    raised.  None means the route declines (a system GrammarSeries
+    refuses, i.e. peak/valley or a weight-zero cycle; no guess; no
+    relation; or a failed check), and the caller eliminates.
     ``tables`` is shared with reference_series and ``guesses`` with
     _certified_divisor, so no stage is guessed twice.
     """
-    rules = list(system.case_of.values())
-    if not all(isinstance(r, tuple) for r in rules):
+    try:
+        engine = GrammarSeries(system)
+    except SystemBuildError:
         return None
     tables = {} if tables is None else tables
     guesses = {} if guesses is None else guesses
@@ -912,11 +914,7 @@ def guess_and_prove(
             break
     else:
         return None
-    try:
-        engine = GrammarSeries(system)
-    except SystemBuildError:
-        return None
-    splits = [r[1] for r in rules if r[0] == "split" and r[1] != system.root]
+    splits = [r[1] for r in system.case_of.values() if r[0] == "split" and r[1] != system.root]
     relations = _split_relations(engine, system.ring, splits, F.degree(ROOT), F.degree(BASE))
     root = engine.coeffs[system.root]
     used = GuessConfig(*stage).min_terms() + 2 * HOLDOUT

@@ -510,6 +510,24 @@ def test_elimination_prints_the_same_when_the_route_declines(monkeypatch, fcde_g
         assert poly_text(fcde(*[parse_stepset(t) for t in literals])) == want
 
 
+def test_the_route_refuses_an_inconsistent_grammar():
+    # the root series of this wrong reading leaves the DP at order 8, inside
+    # the prefix the guess of F was made from
+    bad = build_run_system(ONE, ONE, ONE, strip_end_end_slot="carry",
+                           merge_inactive_slots=False)
+    with pytest.raises(RuntimeError, match="inconsistent"):
+        guess_and_prove(bad, run_spec(ONE, ONE, ONE))
+
+
+def test_the_route_declines_systems_without_series_before_guessing(monkeypatch):
+    def no_guess(*args):
+        raise AssertionError("guessed")
+
+    monkeypatch.setattr(symbolic, "_guess_at", no_guess)
+    pv = build_peak_valley_system(ODD, EMPTY)
+    assert guess_and_prove(pv, RestrictionSpec(peaks=ODD)) is None
+
+
 def test_no_stage_is_guessed_twice(monkeypatch):
     stages = []
     guess = symbolic.guess_algebraic
