@@ -8,7 +8,8 @@ Two experiments:
                the guess-and-prove route is run: the line shows the degrees
                (deg_P, deg_x) of the equation it proved, that it declined,
                or that it found the root series inconsistent with the DP
-               (the spec then counts as BAD).  Elimination never runs here.
+               (the spec then counts as BAD), and the wall time the spec
+               took.  Elimination never runs here.
   arbitration  the 2 x 2 x 2 grid of slot readings on one spec, with and
                without inactive-slot merging: state count, audit violations,
                and the first length where the root series leaves the oracle.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import time
 
 from motzkin_autocount import RestrictionSpec, StepSet, oracle_sequence, parse_stepset
 from motzkin_autocount.symbolic import (
@@ -41,6 +43,7 @@ def battery(count: int, n: int, seed: int) -> int:
     rng = random.Random(seed)
     bad = proved = 0
     for i in range(count):
+        start = time.perf_counter()
         C, D, E = random_sets(rng)
         system = build_run_system(C, D, E)
         spec = RestrictionSpec(up_runs=C, down_runs=D, flat_runs=E)
@@ -59,7 +62,8 @@ def battery(count: int, n: int, seed: int) -> int:
         bad += not ok
         tag = "ok " if ok else "BAD"
         print(f"{tag} C={C!r} D={D!r} E={E!r} states={system.size()} route {route}"
-              + (f" violations={violations}" if violations else ""), flush=True)
+              + (f" violations={violations}" if violations else "")
+              + f" time={time.perf_counter() - start:.2f}s", flush=True)
     print(f"{count - bad}/{count} systems clean, route proved {proved}/{count}")
     return bad
 

@@ -217,10 +217,6 @@ class MPoly:
             spread |= e
         return {v for v, x in zip(self.ring, _unpack(spread, len(self.ring))) if x}
 
-    def lt(self) -> tuple[Exps, int | Fraction]:
-        e = max(self._t)
-        return _unpack(e, len(self.ring)), self._t[e]
-
     def as_coeff_map(self, name: str) -> dict[int, "MPoly"]:
         """Coefficients by degree in one variable; that slot is zeroed."""
         s = _shift(self.ring, name)
@@ -1157,11 +1153,6 @@ class Series:
     @property
     def order(self) -> int:
         return len(self.coeffs)
-
-    def truncate(self, order: int) -> "Series":
-        if order > len(self.coeffs):
-            raise AlgebraError("cannot extend a series by truncation")
-        return Series(self.coeffs[:order])
 
     def __add__(self, other: "Series") -> "Series":
         n = min(self.order, other.order)

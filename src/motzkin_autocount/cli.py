@@ -22,6 +22,7 @@ from .stepset import EMPTY, RestrictionSpec, StepSetError, parse_stepset
 from .symbolic import (
     build_peak_valley_system,
     build_run_system,
+    iterate_series,
     reference_series,
     solve_system,
 )
@@ -165,6 +166,7 @@ def _cmd_guess(args) -> int:
         raise ValueError("N must be nonnegative")
     spec = _spec_of(args)
     cfg = GuessConfig(args.maxp, args.maxx)
+    cfg.require_terms(args.N + 1)  # before the DP builds a single term
     tables: dict = {}
     values = reference_series(spec, args.N, tables)
     F = guess_algebraic(values, cfg)
@@ -237,8 +239,14 @@ def _cmd_verify(args) -> int:
         tables = {spec: table}
         F = solve_system(system, spec, tables)
         need = max(args.N + 1, F.degree("P") + 10)
-        series = Series.from_values(reference_series(spec, need - 1, tables))
-        second = "PASS" if series_vanishes(F, series) else "FAIL"
+        # run systems are tested on the series of their grammar rules, a
+        # route apart from the DP that F was guessed and certified on;
+        # peak/valley systems have no rule tuples and keep the DP series
+        if runs:
+            values = iterate_series(system, need - 1)
+        else:
+            values = reference_series(spec, need - 1, tables)
+        second = "PASS" if series_vanishes(F, Series.from_values(values)) else "FAIL"
 
     report = f"{first},{second}"
     if args.format == "json":

@@ -7,26 +7,28 @@ F(x, S) vanish, where S is the prefix read as a truncated series.  The last
 five available orders are withheld from the solve and used as a blind check,
 so an underdetermined fit that merely interpolates noise is rejected.
 
-Integer prefixes are first sieved modulo the 61-bit prime SIEVE_PRIME, with
-one column reduction per P-degree.  For a fixed dP the fit rows (the orders
-below nfit = n - dP - HOLDOUT) do not depend on dX, and the columns (i, j),
-i <= dP, j <= dX, only grow with dX; so the columns of each new x-degree are
-reduced against the pivot columns already stored for that dP, as far as the
-schedule has reached and no further.  A pair whose columns all get pivots
-has full column rank modulo the prime on its fit rows: some maximal minor
-of its integer fit matrix is nonzero modulo the prime, hence nonzero, so
-the matrix has full column rank over Q, its nullspace is {0} and the pair
-holds no relation.  Such pairs are skipped without any per-pair work.  Once
-a column of some dP is dependent, every larger dX of that dP is rank
-deficient too, and only those pairs run the per-pair reduction: a
-Gauss-Jordan elimination modulo the prime, whose candidates are recovered
-by rational reconstruction and re-verified exactly on every fit order,
-falling back to the same elimination over Q.  Acceptance never depends on
-the prime.
+Integer prefixes are reduced modulo the 61-bit prime SIEVE_PRIME, one
+column reduction per P-degree (_ColumnSieve).  For a fixed dP the fit rows
+(the orders below nfit = n - dP - HOLDOUT) do not depend on dX, and the
+columns x^j S^i, i <= dP, j <= dX, only grow with dX; so the columns of
+each new x-degree are reduced against the pivot columns already stored for
+that dP, as far as the schedule has reached and no further.  The reduction
+carries each column's combination of the original columns, so a column
+that reduces to zero on the fit rows leaves a null vector modulo the
+prime, and the pivots persist past it for every larger dX of that dP.  A
+pair whose columns leave no null vector has full column rank modulo the
+prime on its fit rows: some maximal minor of its integer fit matrix is
+nonzero modulo the prime, hence nonzero, so the matrix has full column
+rank over Q, its nullspace is {0} and the pair holds no relation.  Such
+pairs cost no per-pair work.  A rank-deficient pair lifts the null vectors
+of its x-degrees by rational reconstruction and re-verifies them exactly
+on every fit order; if some entry does not lift or no vector survives, its
+nullspace is computed over Q instead (_nullspace).  Acceptance never
+depends on the prime.
 
-guess_linear runs the same sieve and modular candidates on the columns
-x^j S_i of several given series, for a linear relation among them with
-polynomial coefficients.
+guess_linear reads null vectors off the same sieve on the columns x^j S_i
+of several given series, for a linear relation among them with polynomial
+coefficients.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import math
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Sequence
 
 from .algebra import MPoly, ONE, Ring, Series, make_ring, primitive_part
 from .stepset import RestrictionSpec
@@ -62,6 +64,14 @@ class GuessConfig:
     def min_terms(self) -> int:
         return (self.max_p_degree + 1) * (self.max_x_degree + 1) + self.safety_margin
 
+    def require_terms(self, n: int) -> None:
+        """Raise ValueError unless ``n`` terms reach min_terms()."""
+        if n < self.min_terms():
+            raise ValueError(
+                f"need at least {self.min_terms()} terms for bounds "
+                f"({self.max_p_degree},{self.max_x_degree}), got {n}"
+            )
+
 
 def _series_powers(s: Series, top: int) -> list[tuple]:
     """Coefficients of the truncated powers S^0..S^top of the prefix series."""
@@ -84,33 +94,15 @@ def _fit_rows(
     ]
 
 
-class _Field(NamedTuple):
-    """The field _nullspace reduces over, given by its operations."""
-
-    inv: Callable[[Any], Any]  # inverse of a nonzero entry
-    scale: Callable[[list, Any], list]  # row times c
-    sub: Callable[[list, Any, list], list]  # row minus f times another row
-    lift: Callable[[Any], Any]  # an entry as a rational, or None if it has none
+def _sieve_cols(dp: int, dx: int) -> list[tuple[int, int]]:
+    """The columns (i, j), i <= dp, j <= dx, in the order _ColumnSieve adds
+    them: x-degree by x-degree."""
+    return [(i, j) for j in range(dx + 1) for i in range(dp + 1)]
 
 
-RATIONALS = _Field(
-    lambda a: ONE / a,
-    lambda row, c: [v * c for v in row],
-    lambda row, f, other: [a - f * b for a, b in zip(row, other)],
-    lambda a: a,
-)
-MOD_SIEVE = _Field(
-    lambda a: pow(a, SIEVE_PRIME - 2, SIEVE_PRIME),
-    lambda row, c: [v * c % SIEVE_PRIME for v in row],
-    lambda row, f, other: [(a - f * b) % SIEVE_PRIME for a, b in zip(row, other)],
-    lambda a: _rational_from_residue(a, SIEVE_PRIME),
-)
-
-
-def _nullspace(rows: list[list], ncols: int, field: _Field) -> list[list] | None:
-    """Basis of the right nullspace via reduced row echelon form over
-    ``field``: one vector per free column, 1 there, with its pivot entries
-    lifted to rationals.  None if some entry does not lift."""
+def _nullspace(rows: list[list], ncols: int) -> list[list]:
+    """Basis of the right nullspace over Q via reduced row echelon form:
+    one vector per free column, 1 there."""
     mat = list(rows)
     pivots: list[int] = []
     r = 0
@@ -119,15 +111,15 @@ def _nullspace(rows: list[list], ncols: int, field: _Field) -> list[list] | None
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        inv = field.inv(mat[r][c])
-        row_r = mat[r] = field.scale(mat[r], inv)
+        inv = ONE / mat[r][c]
+        row_r = mat[r] = [v * inv for v in mat[r]]
         # row r is zero left of column c, so only the rest of a row changes
         tail = row_r[c:]
         for i in range(len(mat)):
             f = mat[i][c]
             if i != r and f:
                 row = mat[i]
-                mat[i] = row[:c] + field.sub(row[c:], f, tail)
+                mat[i] = row[:c] + [a - f * b for a, b in zip(row[c:], tail)]
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -140,31 +132,37 @@ def _nullspace(rows: list[list], ncols: int, field: _Field) -> list[list] | None
         v = [0] * ncols
         v[free] = 1
         for pr_i, pc in enumerate(pivots):
-            a = mat[pr_i][free]
-            if a:
-                val = field.lift(a)
-                if val is None:
-                    return None
-                v[pc] = -val
+            if mat[pr_i][free]:
+                v[pc] = -mat[pr_i][free]
         basis.append(v)
     return basis
 
 
 class _ColumnSieve:
-    """Column reduction modulo SIEVE_PRIME of one P-degree's fit matrix.
+    """Column reduction modulo SIEVE_PRIME of one P-degree's fit matrix,
+    with the null vectors it finds.
 
     The rows are the dp's ``nfit`` fit orders; the columns (i, j) of each
-    x-degree j are added as the schedule asks for them.  A column is packed
-    into one int, row k in byte slot k of ``size`` bytes.  A stored pivot
-    column has residue 1 at its pivot row, 0 above it and 0 at every pivot
-    row found before it, and keeps only its slots from the pivot row down.
-    A new column is reduced by one pass over the pivots in the order they
-    were found, adding (p - f) times each, f being the column's residue at
-    that pivot's row.  No slot is reduced modulo p during the pass: it
-    starts below p and gains less than p^2 per pivot, at most nfit times,
-    which its size holds without a carry into the next slot.  Once a
-    column is dependent, every larger x-degree is rank deficient too, so
-    the pivots are dropped.
+    x-degree j are added as the schedule asks for them (_sieve_cols order).
+    A column is packed into one int, row k in byte slot k of ``size``
+    bytes, and the c-th column added also carries a 1 in slot nfit + c, so
+    the slots above the fit rows hold the combination of added columns
+    that the column has become.  A stored pivot column has residue 1 at its
+    pivot row, 0 above it and 0 at every pivot row found before it, and
+    keeps only its slots from the pivot row on.  A new column is reduced by
+    one pass over the pivots in the order they were found, adding (p - f)
+    times each, f being the column's residue at that pivot's row.  No slot
+    is reduced modulo p during the pass: it starts below p and gains less
+    than p^2 per pivot.  There are never more pivots than fit rows, so
+    that happens at most nfit times, which the slot size holds without a
+    carry into the next slot.
+
+    A column whose fit rows all reduce to 0 is free.  Its combination
+    slots then hold a null vector modulo p: 1 at the free column, 0 at
+    every other free column, and the negated coordinates of the column in
+    the pivots found before it; that is the reduced-row-echelon nullspace
+    vector of the free column.  The pivots persist past a free column, so
+    every larger x-degree of the dp reuses them.
     """
 
     def __init__(self, pow_mod: list[list[int]], dp: int, nfit: int):
@@ -172,39 +170,41 @@ class _ColumnSieve:
         self.size = (2 * SIEVE_PRIME.bit_length() + (self.nfit + 1).bit_length() + 7) // 8
         self.series = [self._pack(row[:self.nfit]) for row in pow_mod[:dp + 1]]
         self.dx = -1
-        self.full = True
         self.pivots: list[tuple[int, int]] = []  # (shift of the pivot row, packed tail)
+        self.nulls: list[tuple[int, list[int]]] = []  # (x-degree, combination residues)
 
     def _pack(self, residues: Sequence[int]) -> int:
         size = self.size
-        return int.from_bytes(b"".join(a.to_bytes(size, "little") for a in residues), "little")
+        return int.from_bytes(b"".join([a.to_bytes(size, "little") for a in residues]), "little")
 
-    def full_rank(self, dx: int) -> bool:
-        """Whether the columns of x-degree at most ``dx`` are independent
-        modulo the prime on the fit rows."""
+    def null_vectors(self, dx: int) -> list[list[int]]:
+        """Null vectors modulo the prime of the columns of x-degree at most
+        ``dx`` on the fit rows, one per free column in column order, each
+        as its residues over the columns added up to the free one; empty
+        iff those columns are independent modulo the prime."""
         p, size, nfit = SIEVE_PRIME, self.size, self.nfit
         bits = 8 * size
         slot = (1 << bits) - 1
         fit_rows = (1 << (bits * nfit)) - 1
-        while self.full and self.dx < dx:
+        while self.dx < dx:
             self.dx += 1
             for packed in self.series:
-                col = (packed << (bits * self.dx)) & fit_rows
+                own = nfit + len(self.pivots) + len(self.nulls)
+                col = ((packed << (bits * self.dx)) & fit_rows) | (1 << (bits * own))
                 for shift, w in self.pivots:
                     f = ((col >> shift) & slot) % p
                     if f:
                         col += ((p - f) * w) << shift
-                raw = col.to_bytes(size * nfit, "little")
+                raw = col.to_bytes(size * (own + 1), "little")
                 res = [int.from_bytes(raw[k:k + size], "little") % p
                        for k in range(0, len(raw), size)]
-                r = next((k for k, a in enumerate(res) if a), None)
+                r = next((k for k in range(nfit) if res[k]), None)
                 if r is None:
-                    self.full = False
-                    self.pivots = self.series = []
-                    break
+                    self.nulls.append((self.dx, res[nfit:]))
+                    continue
                 inv = pow(res[r], p - 2, p)
                 self.pivots.append((bits * r, self._pack([a * inv % p for a in res[r:]])))
-        return self.full
+        return [v for j, v in self.nulls if j <= dx]
 
 
 def _rational_from_residue(a: int, p: int) -> int | Fraction | None:
@@ -225,14 +225,21 @@ def _rational_from_residue(a: int, p: int) -> int | Fraction | None:
     return num if den == 1 else Fraction(num, den)
 
 
-def _modular_candidates(
-    pow_mod: list[list[int]], cols: list[tuple[int, int]], nrows: int
+def _lifted(
+    powers: Sequence[Sequence], cols: list[tuple[int, int]], residues: list[list[int]], nfit: int
 ) -> list[list] | None:
-    """Nullspace candidates of the first ``nrows`` fit rows read modulo
-    SIEVE_PRIME, or None if some entry would not reconstruct as a small
-    rational and the exact path must run.  Candidates still need exact
-    re-verification by the caller."""
-    return _nullspace(_fit_rows(pow_mod, cols, 0, nrows), len(cols), MOD_SIEVE)
+    """The sieve's null vectors ``residues`` lifted to rationals, padded to
+    the columns ``cols`` and re-verified exactly on the fit orders
+    0..nfit-1; None if some entry does not lift or no vector survives."""
+    basis = []
+    for res in residues:
+        v = [_rational_from_residue(a, SIEVE_PRIME) if a else 0 for a in res]
+        if None in v:
+            return None
+        v += [0] * (len(cols) - len(v))
+        if _vanishes_through(powers, cols, v, nfit):
+            basis.append(v)
+    return basis or None
 
 
 def _vanishes_through(
@@ -263,11 +270,7 @@ def guess_algebraic(seq: Sequence, cfg: GuessConfig) -> MPoly | None:
     """
     series = Series.from_values(seq)
     n = series.order
-    if n < cfg.min_terms():
-        raise ValueError(
-            f"need at least {cfg.min_terms()} terms for bounds "
-            f"({cfg.max_p_degree},{cfg.max_x_degree}), got {n}"
-        )
+    cfg.require_terms(n)
     powers = _series_powers(series, cfg.max_p_degree)
     sieves: dict[int, _ColumnSieve] | None = None
     if all(type(c) is int for c in series.coeffs):
@@ -283,21 +286,20 @@ def guess_algebraic(seq: Sequence, cfg: GuessConfig) -> MPoly | None:
                 sieves.pop(dp, None)  # every larger dx of this dp is skipped too
             continue
         nfit = L - HOLDOUT
+        residues = None
         if sieves is not None:
             sieve = sieves.get(dp)
             if sieve is None:
                 sieve = sieves[dp] = _ColumnSieve(pow_mod, dp, nfit)
-            full = sieve.full_rank(dx)
+            residues = sieve.null_vectors(dx)
             if dx == cfg.max_x_degree:
                 del sieves[dp]
-            if full:
+            if not residues:
                 continue
-        cols = [(i, j) for i in range(dp + 1) for j in range(dx + 1)]
-        basis = None
-        if sieves is not None:
-            basis = _sieved_basis(powers, pow_mod, cols, nfit, cfg.safety_margin)
+        cols = _sieve_cols(dp, dx)
+        basis = _lifted(powers, cols, residues, nfit) if residues else None
         if basis is None:
-            basis = _nullspace(_fit_rows(powers, cols, 0, nfit), len(cols), RATIONALS)
+            basis = _nullspace(_fit_rows(powers, cols, 0, nfit), len(cols))
         passing = _held_out(powers, cols, basis, nfit, L)
         if not passing:
             continue
@@ -308,22 +310,6 @@ def guess_algebraic(seq: Sequence, cfg: GuessConfig) -> MPoly | None:
                 terms[(i, j)] = c
         return primitive_part(MPoly(GUESS_RING, terms))
     return None
-
-
-def _sieved_basis(
-    powers: list[Sequence], pow_mod: list[list[int]], cols: list[tuple[int, int]],
-    nfit: int, margin: int,
-) -> list[list] | None:
-    """Nullspace candidates of the columns modulo SIEVE_PRIME, each lifted
-    to rationals and re-verified exactly on the fit orders 0..nfit-1; None
-    if no candidate survives.  The columns are rank deficient on the fit
-    rows (the sieve found them so), hence on the first rows used here too,
-    so the candidate list is never empty."""
-    sieve_rows = min(nfit, len(cols) + margin + 3)
-    cand = _modular_candidates(pow_mod, cols, sieve_rows)
-    if cand is None:
-        return None
-    return [v for v in cand if _vanishes_through(powers, cols, v, nfit)] or None
 
 
 def _held_out(
@@ -345,9 +331,9 @@ def guess_linear(series: Sequence[Sequence[int]]) -> list[list] | None:
     has one.  Each c_i comes as its x-coefficients, lowest first.
 
     The columns x^j S_i are sieved modulo SIEVE_PRIME one x-degree at a
-    time (_ColumnSieve), and a rank-deficient dx takes the modular
-    candidates of guess_algebraic, re-verified exactly; as there, the last
-    HOLDOUT orders are withheld from the fit as a blind check.  Unlike
+    time (_ColumnSieve), and the null vectors of a rank-deficient dx are
+    lifted and re-verified exactly as in guess_algebraic; as there, the
+    last HOLDOUT orders are withheld from the fit as a blind check.  Unlike
     guess_algebraic there is no exact fallback: a relation whose
     coefficients do not reconstruct modulo the prime is not found, which
     only costs its caller the fast path.  The series are exact to n terms,
@@ -356,17 +342,18 @@ def guess_linear(series: Sequence[Sequence[int]]) -> list[list] | None:
     n = len(series[0])
     top = len(series) - 1
     nfit = n - HOLDOUT
-    pow_mod = [[c % SIEVE_PRIME for c in s] for s in series]
-    sieve = _ColumnSieve(pow_mod, top, nfit)
+    sieve = _ColumnSieve([[c % SIEVE_PRIME for c in s] for s in series], top, nfit)
     dx = 0
     while (top + 1) * (dx + 1) + SAFETY_MARGIN <= n:
-        if not sieve.full_rank(dx):
-            cols = [(i, j) for i in range(top + 1) for j in range(dx + 1)]
-            basis = _sieved_basis(series, pow_mod, cols, nfit, SAFETY_MARGIN) or []
-            passing = [v for v in _held_out(series, cols, basis, nfit, n) if any(v[-dx - 1:])]
+        residues = sieve.null_vectors(dx)
+        if residues:
+            cols = _sieve_cols(top, dx)
+            basis = _lifted(series, cols, residues, nfit) or []
+            # column (m, j) sits at index m + j * (m + 1)
+            passing = [v for v in _held_out(series, cols, basis, nfit, n) if any(v[top::top + 1])]
             if passing:
                 best = min(passing, key=lambda v: sum(1 for c in v if c != 0))
-                return [best[i * (dx + 1):(i + 1) * (dx + 1)] for i in range(top + 1)]
+                return [best[i::top + 1] for i in range(top + 1)]
         dx += 1
     return None
 

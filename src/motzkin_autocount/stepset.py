@@ -137,9 +137,6 @@ class StepSet:
     def __repr__(self) -> str:
         return f"StepSet({format_stepset(self)!r})"
 
-    def canonical_key(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-        return (self.finite, self.aps)
-
     def remove_zero(self) -> "StepSet":
         """The same set with 0 taken out."""
         fin = tuple(v for v in self.finite if v != 0)
@@ -158,13 +155,6 @@ class StepSet:
     def shift_down(self) -> "StepSet":
         """decrement(remove_zero(self)); the boundary-set evolution step."""
         return self.remove_zero().decrement()
-
-    def elements_upto(self, bound: int) -> list[int]:
-        """All members <= bound, ascending (test helper)."""
-        out = {v for v in self.finite if v <= bound}
-        for stride, off in self.aps:
-            out.update(range(off, bound + 1, stride))
-        return sorted(out)
 
 
 EMPTY = StepSet()

@@ -231,8 +231,6 @@ def test_term_view_and_order_match_exponent_tuples(case):
     F, G = MPoly(ring, f), MPoly(ring, g)
     assert F.terms == f and len(F.terms) == len(f)
     assert sorted(F.terms) == sorted(f)
-    if f:
-        assert F.lt() == (max(f), f[max(f)])
     # elimination breaks ties on sorted(p._t): packed keys must order as tuples
     keys, tuples = list(F._t), list(F.terms)
     assert sorted(range(len(keys)), key=keys.__getitem__) == sorted(
@@ -532,9 +530,6 @@ def test_series_basics():
     assert (s * t).coeffs == (1, 3, 6)
     assert all(type(c) is int for c in (s * t).coeffs + s.scale(Fraction(2)).coeffs)
     assert s.shift(1).coeffs == (0, 1, 2)
-    assert s.truncate(2).coeffs == (1, 2)
-    with pytest.raises(AlgebraError):
-        s.truncate(5)
     assert Series.from_values([0, 0, 5]).valuation() == 2
     assert Series.from_values([0, 0]).valuation() is None
 

@@ -153,10 +153,15 @@ def test_guess_past_the_oracle_guard_is_a_domain_error(run_cli):
     assert "MOTZKIN_ORACLE_GUARD" in err
 
 
-def test_guess_insufficient_terms(run_cli):
+def test_guess_insufficient_terms(run_cli, monkeypatch):
+    # refused before the DP: the sequence is never built
+    def refuse(*args, **kwargs):
+        raise AssertionError("reference_series called for impossible bounds")
+
+    monkeypatch.setattr(cli, "reference_series", refuse)
     rc, _, err = run_cli("guess", "--N", "6", "--maxp", "4", "--maxx", "4")
     assert rc == 1
-    assert "need at least" in err
+    assert "need at least 30 terms for bounds (4,4), got 7" in err
 
 
 def test_fab_default_is_motzkin(run_cli):
@@ -205,6 +210,17 @@ def test_verify_odd_heights(run_cli):
 def test_verify_run_lengths(run_cli):
     rc, out, _ = run_cli("verify", "--C", "{1}", "--D", "{1}", "--E", "{1}",
                          "--N", "12")
+    assert (rc, out) == (0, "PASS,PASS\n")
+
+
+def test_verify_tests_run_systems_on_the_grammar_series(run_cli, monkeypatch):
+    # the second check reads iterate_series, not the DP series that the
+    # derivation already used
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify read the DP series for a run system")
+
+    monkeypatch.setattr(cli, "reference_series", refuse)
+    rc, out, _ = run_cli("verify", "--C", "{1,2,3}", "--N", "12")
     assert (rc, out) == (0, "PASS,PASS\n")
 
 

