@@ -7,24 +7,28 @@ F(x, S) vanish, where S is the prefix read as a truncated series.  The last
 five available orders are withheld from the solve and used as a blind check,
 so an underdetermined fit that merely interpolates noise is rejected.
 
-Integer prefixes are reduced modulo the 61-bit prime SIEVE_PRIME, one
-column reduction per P-degree (_ColumnSieve).  For a fixed dP the fit rows
-(the orders below nfit = n - dP - HOLDOUT) do not depend on dX, and the
-columns x^j S^i, i <= dP, j <= dX, only grow with dX; so the columns of
-each new x-degree are reduced against the pivot columns already stored for
-that dP, as far as the schedule has reached and no further.  The reduction
-carries each column's combination of the original columns, so a column
-that reduces to zero on the fit rows leaves a null vector modulo the
-prime, and the pivots persist past it for every larger dX of that dP.  A
-pair whose columns leave no null vector has full column rank modulo the
-prime on its fit rows: some maximal minor of its integer fit matrix is
-nonzero modulo the prime, hence nonzero, so the matrix has full column
-rank over Q, its nullspace is {0} and the pair holds no relation.  Such
-pairs cost no per-pair work.  A rank-deficient pair lifts the null vectors
-of its x-degrees by rational reconstruction and re-verifies them exactly
-on every fit order; if some entry does not lift or no vector survives, its
-nullspace is computed over Q instead (_nullspace).  Acceptance never
-depends on the prime.
+Integer prefixes are reduced modulo the Mersenne prime SIEVE_PRIME =
+2^61 - 1, one column reduction per P-degree (_ColumnSieve).  For a fixed dP
+the fit rows (the orders below nfit = n - dP - HOLDOUT) do not depend on
+dX, and the columns x^j S^i, i <= dP, j <= dX, only grow with dX; so the
+columns of each new x-degree are reduced against the pivot columns already
+stored for that dP, as far as the schedule has reached and no further.
+Each column is one packed int, and all of its slots are reduced modulo the
+prime at once by a few whole-int operations.  The reduction carries each
+column's combination of the original columns, so a column that reduces to
+zero on the fit rows leaves a null vector modulo the prime, and the pivots
+persist past it for every larger dX of that dP.  A pair whose columns
+leave no null vector has full column rank modulo the prime on its fit
+rows: some maximal minor of its integer fit matrix is nonzero modulo the
+prime, hence nonzero, so the matrix has full column rank over Q, its
+nullspace is {0} and the pair holds no relation.  Such pairs cost no
+per-pair work.  A rank-deficient pair lifts the null vectors of its
+x-degrees by rational reconstruction and re-verifies them exactly on every
+fit order.  If some entry does not lift or no vector survives, the pair is
+skipped when its modular null vectors stay independent on the held-out
+rows (_held_out_independent), which proves that no exact null vector can
+pass them; otherwise its nullspace is computed over Q (_nullspace).
+Acceptance never depends on the prime.
 
 guess_linear reads null vectors off the same sieve on the columns x^j S_i
 of several given series, for a linear relation among them with polynomial
@@ -139,71 +143,71 @@ def _nullspace(rows: list[list], ncols: int) -> list[list]:
 
 
 class _ColumnSieve:
-    """Column reduction modulo SIEVE_PRIME of one P-degree's fit matrix,
-    with the null vectors it finds.
+    """Column reduction modulo p = SIEVE_PRIME of one P-degree's fit
+    matrix, with the null vectors it finds.
 
     The rows are the dp's ``nfit`` fit orders; the columns (i, j) of each
-    x-degree j are added as the schedule asks for them (_sieve_cols order).
-    A column is packed into one int, row k in byte slot k of ``size``
-    bytes, and the c-th column added also carries a 1 in slot nfit + c, so
-    the slots above the fit rows hold the combination of added columns
-    that the column has become.  A stored pivot column has residue 1 at its
-    pivot row, 0 above it and 0 at every pivot row found before it, and
-    keeps only its slots from the pivot row on.  A new column is reduced by
-    one pass over the pivots in the order they were found, adding (p - f)
-    times each, f being the column's residue at that pivot's row.  No slot
-    is reduced modulo p during the pass: it starts below p and gains less
-    than p^2 per pivot.  There are never more pivots than fit rows, so
-    that happens at most nfit times, which the slot size holds without a
-    carry into the next slot.
-
-    A column whose fit rows all reduce to 0 is free.  Its combination
-    slots then hold a null vector modulo p: 1 at the free column, 0 at
-    every other free column, and the negated coordinates of the column in
-    the pivots found before it; that is the reduced-row-echelon nullspace
-    vector of the free column.  The pivots persist past a free column, so
-    every larger x-degree of the dp reuses them.
-    """
+    x-degree j are added as the schedule asks (_sieve_cols order).  A column
+    is one int, row k in slot k of ``bits`` bits; the c-th column added also
+    has a 1 in slot nfit + c, so the slots above the fit rows hold the
+    combination of added columns it has become.  A stored pivot is 1 at its
+    pivot row, 0 above it and at every earlier pivot's row, and keeps its
+    slots from the pivot row on, each in [0, p).  A new column gains (p - f)
+    times each pivot in turn, f being its residue at the pivot's row; with
+    at most nfit pivots every slot stays below nfit*p^2 + p < 2^bits.  As
+    p = 2^61 - 1, a fold v -> (v mod 2^61) + floor(v / 2^61) keeps v mod p;
+    two ANDs with per-slot masks fold every slot at once.  Two folds take a
+    slot below 2^bits to at most p + 2^(bits-122) < 2p, as bits - 122 <= 7 +
+    (nfit + 1).bit_length() < 61; then p is subtracted where a slot plus 1
+    reaches 2^61.  The pivot row is the lowest set bit of the fit slots; the
+    pivot, shifted down to it, is multiplied by the inverse of its residue
+    there (each slot stays below p^2) and reduced again.  Only a column free
+    modulo p (0 on every fit row) is unpacked: its combination slots hold
+    its reduced-row-echelon null vector.  The pivots persist past it."""
 
     def __init__(self, pow_mod: list[list[int]], dp: int, nfit: int):
         self.nfit = max(nfit, 0)
-        self.size = (2 * SIEVE_PRIME.bit_length() + (self.nfit + 1).bit_length() + 7) // 8
+        self.bits = 8 * ((2 * SIEVE_PRIME.bit_length() + (self.nfit + 1).bit_length() + 7) // 8)
         self.series = [self._pack(row[:self.nfit]) for row in pow_mod[:dp + 1]]
         self.dx = -1
         self.pivots: list[tuple[int, int]] = []  # (shift of the pivot row, packed tail)
         self.nulls: list[tuple[int, list[int]]] = []  # (x-degree, combination residues)
 
     def _pack(self, residues: Sequence[int]) -> int:
-        size = self.size
+        size = self.bits // 8
         return int.from_bytes(b"".join([a.to_bytes(size, "little") for a in residues]), "little")
 
     def null_vectors(self, dx: int) -> list[list[int]]:
-        """Null vectors modulo the prime of the columns of x-degree at most
-        ``dx`` on the fit rows, one per free column in column order, each
-        as its residues over the columns added up to the free one; empty
-        iff those columns are independent modulo the prime."""
-        p, size, nfit = SIEVE_PRIME, self.size, self.nfit
-        bits = 8 * size
-        slot = (1 << bits) - 1
-        fit_rows = (1 << (bits * nfit)) - 1
+        """Null vectors modulo p of the columns of x-degree <= ``dx`` on the
+        fit rows, one per free column in column order, as residues over the
+        columns added up to it; empty iff those columns are independent."""
+        p, bits, nfit = SIEVE_PRIME, self.bits, self.nfit
+        slot, fit_rows = (1 << bits) - 1, (1 << (bits * nfit)) - 1
+
+        def reduced(col: int) -> int:
+            for _ in range(2):
+                col = (col & mods) + ((col >> 61) & highs)
+            return col - p * (((col + ones) >> 61) & ones)
+
         while self.dx < dx:
             self.dx += 1
-            for packed in self.series:
-                own = nfit + len(self.pivots) + len(self.nulls)
+            own = nfit + len(self.pivots) + len(self.nulls)
+            ones = ((1 << (bits * (own + len(self.series)))) - 1) // slot
+            mods, highs = ones * p, ones * (slot >> 61)
+            for own, packed in enumerate(self.series, own):
                 col = ((packed << (bits * self.dx)) & fit_rows) | (1 << (bits * own))
                 for shift, w in self.pivots:
                     f = ((col >> shift) & slot) % p
                     if f:
                         col += ((p - f) * w) << shift
-                raw = col.to_bytes(size * (own + 1), "little")
-                res = [int.from_bytes(raw[k:k + size], "little") % p
-                       for k in range(0, len(raw), size)]
-                r = next((k for k in range(nfit) if res[k]), None)
-                if r is None:
-                    self.nulls.append((self.dx, res[nfit:]))
-                    continue
-                inv = pow(res[r], p - 2, p)
-                self.pivots.append((bits * r, self._pack([a * inv % p for a in res[r:]])))
+                col = reduced(col)
+                if low := col & fit_rows:
+                    shift = ((low & -low).bit_length() - 1) // bits * bits
+                    tail = col >> shift
+                    self.pivots.append((shift, reduced(tail * pow(tail & slot, -1, p))))
+                else:
+                    comb = [col >> bits * k & slot for k in range(nfit, own + 1)]
+                    self.nulls.append((self.dx, comb))
         return [v for j, v in self.nulls if j <= dx]
 
 
@@ -299,6 +303,8 @@ def guess_algebraic(seq: Sequence, cfg: GuessConfig) -> MPoly | None:
         cols = _sieve_cols(dp, dx)
         basis = _lifted(powers, cols, residues, nfit) if residues else None
         if basis is None:
+            if residues and _held_out_independent(powers, cols, residues, nfit, L):
+                continue
             basis = _nullspace(_fit_rows(powers, cols, 0, nfit), len(cols))
         passing = _held_out(powers, cols, basis, nfit, L)
         if not passing:
@@ -322,6 +328,31 @@ def _held_out(
         v for v in basis
         if all(sum(c * row[k] for k, c in enumerate(v)) == 0 for row in hold)
     ]
+
+
+def _held_out_independent(
+    powers: list[Sequence], cols: list[tuple[int, int]], residues: list[list[int]],
+    nfit: int, L: int,
+) -> bool:
+    """True when the sieve's null vectors ``residues`` stay independent
+    modulo p on the held-out orders nfit..L-1, which proves that no nonzero
+    vector of the pair's exact nullspace passes the held-out check.
+
+    Let A be the integer fit rows, H the held-out rows and B the residues,
+    a basis of the nullspace of A modulo p; suppose H*B has full column
+    rank modulo p.  A nonzero rational v with A*v = 0 and H*v = 0, scaled
+    to a primitive integer vector, is nonzero modulo p and A*v = 0 modulo
+    p, so v = B*c modulo p for some nonzero c; then H*B*c = H*v = 0
+    modulo p, against the full column rank.  So every vector of the exact
+    nullspace fails _held_out, and the pair can be skipped without
+    computing it.  The test only rejects pairs, so acceptance still never
+    depends on the prime.
+    """
+    hold = _fit_rows(powers, cols, nfit, L)
+    images = [[sum(a * row[k] for k, a in enumerate(v)) % SIEVE_PRIME for row in hold]
+              for v in residues]
+    # with dx = 0 a sieve's columns are its given rows
+    return not _ColumnSieve(images, len(images) - 1, len(hold)).null_vectors(0)
 
 
 def guess_linear(series: Sequence[Sequence[int]]) -> list[list] | None:

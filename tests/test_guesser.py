@@ -99,6 +99,31 @@ def test_holdout_rejects_a_corrupted_tail():
     assert guess_algebraic(values, GuessConfig(2, 2)) is None
 
 
+def test_held_out_rows_modulo_the_prime_reject_without_the_exact_nullspace():
+    values = [10**(10 * k) for k in range(12)]
+    reductions = []
+    nullspace = guesser._nullspace
+
+    def counting(*args):
+        reductions.append((len(args[0]), args[1]))
+        return nullspace(*args)
+
+    def failing(*args):
+        raise AssertionError("exact nullspace computed")
+
+    with pytest.MonkeyPatch.context() as mp:
+        # 10**10 does not lift from its residue, so the hit takes the exact path
+        mp.setattr(guesser, "_nullspace", counting)
+        F = guess_algebraic(values, GuessConfig(1, 1))
+        assert poly_text(F) == "(10000000000*x-1)*P + 1"
+        assert reductions == [(6, 4)]
+        # a held-out term off by one leaves the modular null vector nonzero
+        # on the held-out rows, which rules the pair out
+        values[8] += 1
+        mp.setattr(guesser, "_nullspace", failing)
+        assert guess_algebraic(values, GuessConfig(1, 1)) is None
+
+
 def test_non_integer_prefixes_take_the_exact_path():
     # halved geometric sequence: (2x-2)P + 1 = 0, unreachable by the sieve
     values = [Fraction(1, 2)] * 12
@@ -222,6 +247,45 @@ def test_sieve_verdicts_match_a_from_scratch_rank(values, max_p, max_x):
             ncols = (dp + 1) * (dx + 1)
             padded = [v + [0] * (ncols - len(v)) for v in got]
             assert padded == nullspace_mod_p(*fit_matrix(values, dp, dx)), (dp, dx)
+
+
+EXTREME_RESIDUES = st.one_of(
+    st.sampled_from([0, 1, SIEVE_PRIME - 1, SIEVE_PRIME - 2]),
+    st.integers(0, SIEVE_PRIME - 1),
+)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 150), st.data())
+def test_sieve_null_vectors_on_extreme_residues_with_many_fit_rows(dp, nfit, data):
+    # up to about nfit pivots, so a slot collects up to nfit updates near p^2
+    rows = data.draw(st.lists(st.lists(EXTREME_RESIDUES, min_size=nfit, max_size=nfit),
+                              min_size=dp + 1, max_size=dp + 1))
+    max_dx = (nfit + 4) // (dp + 1)
+    cols = _sieve_cols(dp, max_dx)
+    # the reduced row echelon form of a prefix of the columns is the prefix
+    # of the full one, so the basis at each dx is read off the full basis:
+    # the vectors of the free columns below (dp+1)(dx+1), which have no
+    # entry from there on, cut there
+    full = nullspace_mod_p(_fit_rows(rows, cols, 0, nfit), len(cols))
+    sieve = _ColumnSieve(rows, dp, nfit)
+    for dx in range(max_dx + 1):
+        ncols = (dp + 1) * (dx + 1)
+        want = [v[:ncols] for v in full if not any(v[ncols:])]
+        got = [v + [0] * (ncols - len(v)) for v in sieve.null_vectors(dx)]
+        assert got == want, (dp, nfit, dx)
+
+
+def test_sieve_slots_hold_the_longest_run_of_largest_updates():
+    # with dx = 0 the sieve's columns are its rows as given: 149 pivot
+    # columns e_k + (p - 1) e_149 on 150 fit rows, then their sum, which
+    # is reduced to 0 by 149 updates of (p - 1)^2 each to its last fit row,
+    # taking that slot past 128 bits; its null vector is (p - 1, ..., p - 1, 1)
+    p, nfit = SIEVE_PRIME, 150
+    rows = [[1 if r == k else p - 1 if r == nfit - 1 else 0 for r in range(nfit)]
+            for k in range(nfit - 1)]
+    rows.append([1] * (nfit - 1) + [p - (nfit - 1)])
+    assert _ColumnSieve(rows, nfit - 1, nfit).null_vectors(0) == [[p - 1] * (nfit - 1) + [1]]
 
 
 @settings(max_examples=60, deadline=None)
