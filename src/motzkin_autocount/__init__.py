@@ -14,7 +14,7 @@ from .algebra import (
     series_vanishes,
 )
 from .guesser import GuessConfig, guess_algebraic, verify_guess
-from .numeric_dp import DPTable, SpecError, motzkin_numbers, sequence
+from .numeric_dp import DPTable, motzkin_numbers, sequence
 from .oracle import (
     count_restricted,
     enumerate_motzkin,
@@ -54,7 +54,6 @@ __all__ = [
     "RestrictionSpec",
     "RunState",
     "Series",
-    "SpecError",
     "StepSet",
     "StepSetError",
     "build_peak_valley_system",

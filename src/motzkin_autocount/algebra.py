@@ -1,18 +1,18 @@
 """Exact polynomial and power-series kernel on stdlib integers and rationals.
 
 Provides sparse multivariate polynomials with a fixed variable tuple per
-ring (pure lexicographic order, first name biggest), dense univariate
-helpers, Sylvester resultants via fraction-free determinants, reduced lex
-Groebner bases, variable elimination down to a single bivariate relation,
-and truncated power-series utilities including solving a polynomial
-equation for its unique series root given a disambiguating prefix.
+ring (pure lexicographic order, first name biggest), square-free parts by
+the primitive pseudo-remainder chain, Sylvester resultants via
+fraction-free determinants, reduced lex Groebner bases, variable
+elimination down to a single bivariate relation, and truncated power-series
+utilities including solving a polynomial equation for its unique series
+root given a disambiguating prefix.
 
 Coefficients, of polynomials and of truncated series alike, are Python ints
 wherever they are integral, which covers all of elimination; a Fraction
-appears only where a true rational does
-(Groebner S-polynomials and normal forms, the Euclidean algorithm over Q in
-sqfree_part, rational guesser input).  Each exponent vector is packed into
-one int of SLOT_BITS bits per variable, the first ring variable in the most
+appears only where a true rational does (Groebner S-polynomials and normal
+forms, rational guesser input).  Each exponent vector is packed into one
+int of SLOT_BITS bits per variable, the first ring variable in the most
 significant slot, so integer order on packed keys is lex order on exponent
 tuples and multiplying monomials is adding keys.  The top bit of every slot
 is a guard bit: an exponent may be at most MAX_EXP, a construction or
@@ -389,7 +389,10 @@ def exact_div(f: MPoly, g: MPoly) -> MPoly | None:
     The remainder is updated in place, one quotient term at a time.  If f
     has integer coefficients and g is primitive, Gauss's lemma makes an
     exact quotient integral, so the first quotient coefficient that is not
-    an integer already proves that g does not divide f.
+    an integer already proves that g does not divide f.  Other inputs are
+    divided in that form, as primitive parts, once such a coefficient
+    appears: a long division over Q of a miss can run for thousands of
+    steps on growing coefficients.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
@@ -408,23 +411,24 @@ def exact_div(f: MPoly, g: MPoly) -> MPoly | None:
     # rejects it once it leads
     rem = dict(f._t)
     q = {}
-    gauss = None  # may a non-integral quotient coefficient stop the division?
     while rem:
         fe = max(rem)
         fc = rem.pop(fe)
         de = fe - ge
         if de < 0 or de & guard:
             return None
-        if type(fc) is int and type(gc) is int:
-            c, r = divmod(fc, gc)
-            if r:
-                if gauss is None:
-                    gauss = content(g) == 1 and all(type(v) is int for v in f._t.values())
-                if gauss:
-                    return None
-                c = Fraction(fc, gc)
+        ints = type(fc) is int and type(gc) is int
+        if ints and not fc % gc:
+            c = fc // gc
+        elif ints and content(g) == 1 and all(type(v) is int for v in f._t.values()):
+            return None
         else:
-            c = fc / gc
+            fp, gp = primitive_part(f), primitive_part(g)
+            qp = exact_div(fp, gp)
+            if qp is None:
+                return None
+            s = Fraction(f._t[max(f._t)], fp._t[max(fp._t)]) / Fraction(gc, gp._t[ge])
+            return _make(f.ring, {e: _coeff(s * v) for e, v in qp._t.items()})
         q[de] = c
         for off, v in tail:
             e = fe + off
@@ -496,203 +500,76 @@ def monomial_content_quotient(f: MPoly, names: Iterable[str] | None = None) -> M
     return _make(f.ring, {e - low: c for e, c in f._t.items()})
 
 
-# dense univariate helpers (little-endian Fraction lists) ------------------
-
-
-def _utrim(u: list[Fraction]) -> list[Fraction]:
-    while u and u[-1] == 0:
-        u.pop()
-    return u
-
-
-def _uadd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    return _utrim([
-        (a[i] if i < len(a) else ZERO) + (b[i] if i < len(b) else ZERO)
-        for i in range(n)
-    ])
-
-
-def _uscale(a: Sequence[Fraction], c: Fraction) -> list[Fraction]:
-    if c == 0:
-        return []
-    return [x * c for x in a]
-
-
-def _umul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _utrim(out)
-
-
-def _udivmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    if not b:
-        raise ZeroDivisionError
-    r = list(a)
-    q = [ZERO] * max(0, len(a) - len(b) + 1)
-    while len(r) >= len(b) and _utrim(r):
-        if len(r) < len(b):
-            break
-        c = r[-1] / b[-1]
-        k = len(r) - len(b)
-        q[k] = c
-        for i, y in enumerate(b):
-            r[i + k] -= c * y
-        _utrim(r)
-    return _utrim(q), _utrim(list(r))
-
-
-def _ugcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    x, y = _utrim(list(a)), _utrim(list(b))
-    while y:
-        _, r = _udivmod(x, y)
-        x, y = y, r
-    if x:
-        x = _uscale(x, 1 / x[-1])  # monic
-    return x
-
-
-def _uderiv(a: Sequence[Fraction]) -> list[Fraction]:
-    return _utrim([a[i] * i for i in range(1, len(a))])
-
-
-def _usqfree(a: Sequence[Fraction]) -> list[Fraction]:
-    a = _utrim(list(a))
-    if len(a) <= 1:
-        return a
-    g = _ugcd(a, _uderiv(a))
-    q, r = _udivmod(a, g)
-    assert not r
-    return q
-
-
-def _mpoly_to_upoly(f: MPoly, name: str) -> list[Fraction]:
-    s = _shift(f.ring, name)
-    out = [ZERO] * (f.degree(name) + 1 if not f.is_zero() else 0)
-    for e, c in f._t.items():
-        d = e >> s
-        if e != d << s:
-            raise AlgebraError("polynomial is not univariate in " + name)
-        out[d] += c
-    return _utrim(out)
-
-
-def _upoly_to_mpoly(u: Sequence[Fraction], ring: Ring, name: str) -> MPoly:
-    s = _shift(ring, name)
-    if len(u) > MAX_EXP + 1:
-        raise AlgebraError(f"an exponent exceeds the limit {MAX_EXP}")
-    return _make(ring, {d << s: _coeff(c) for d, c in enumerate(u) if c})
-
-
 # squarefree part (at most two effective variables) ------------------------
 
 
-def _bi_content(rows: list[list[Fraction]]) -> list[Fraction]:
-    g: list[Fraction] = []
-    for row in rows:
-        g = _ugcd(g, row)
-        if len(g) == 1:
-            break
-    return g if g else []
+def _split_content(f: MPoly, main: str, base: str) -> tuple[MPoly, MPoly]:
+    """(c, f/c) with c the primitive gcd of f's coefficients in main."""
+    c = MPoly.zero(f.ring)
+    for coeff in f.as_coeff_map(main).values():
+        c = _gcd(c, coeff, base)
+        if c.is_constant():
+            return c, f
+    q = exact_div(f, c)
+    if q is None:
+        raise AlgebraError("content division failed")
+    return c, q
 
 
-def _bi_prim(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    c = _bi_content([r for r in rows if r])
-    if not c or len(c) == 1:
-        return [list(r) for r in rows]
-    return [(_udivmod(r, c)[0] if r else []) for r in rows]
+def _gcd(f: MPoly, g: MPoly, main: str, base: str | None = None) -> MPoly:
+    """The primitive gcd of f and g in Z[base][main] (in Z[main] without base).
 
-
-def _bi_trim(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    while rows and not rows[-1]:
-        rows.pop()
-    return rows
-
-
-def _bi_prem(f: list[list[Fraction]], g: list[list[Fraction]]) -> list[list[Fraction]]:
-    # pseudo-remainder of f by g, both dense in the main variable with
-    # univariate coefficient polynomials
-    f = _bi_trim([list(r) for r in f])
-    g = _bi_trim([list(r) for r in g])
-    if not g:
-        raise ZeroDivisionError
-    dg = len(g) - 1
-    lead = g[-1]
-    while len(f) - 1 >= dg and f:
-        df = len(f) - 1
-        top = f[-1]
-        f = [_umul(r, lead) for r in f]
-        shift = df - dg
-        for i, gr in enumerate(g):
-            f[i + shift] = _uadd(f[i + shift], _uscale(_umul(gr, top), Fraction(-1)))
-        f = _bi_trim(f)
-    return f
-
-
-def _bi_gcd(f: list[list[Fraction]], g: list[list[Fraction]]) -> list[list[Fraction]]:
-    f = _bi_prim(_bi_trim([list(r) for r in f]))
-    g = _bi_prim(_bi_trim([list(r) for r in g]))
-    if not f:
-        return g
-    if not g:
-        return f
-    if len(f) < len(g):
+    The primitive prem chain: each pseudo-remainder is a Q(base)-multiple
+    of the Euclidean one, made primitive over Z by prem and over Z[base] by
+    dividing out its content, so the last nonzero one is the gcd of the
+    primitive parts of f and g; the gcd of their contents multiplies it.
+    """
+    if f.is_zero() or g.is_zero():
+        return primitive_part(f + g)
+    c = MPoly.const(f.ring, 1)
+    if base is not None:
+        cf, f = _split_content(f, main, base)
+        cg, g = _split_content(g, main, base)
+        c = _gcd(cf, cg, base)
+    if f.degree(main) < g.degree(main):
         f, g = g, f
-    while g:
-        r = _bi_prem(f, g)
-        r = _bi_prim(_bi_trim(r))
-        f, g = g, r
-    return f
+    while g.degree(main) > 0:
+        f, g = g, prem(f, g, main)
+        if base is not None and not g.is_zero():
+            g = _split_content(g, main, base)[1]
+    return primitive_part(c * f if g.is_zero() else c)
+
+
+def _derivative(f: MPoly, name: str) -> MPoly:
+    s = _shift(f.ring, name)
+    return _make(f.ring, {
+        e - (1 << s): c * (e >> s & _SLOT_MASK) for e, c in f._t.items() if e >> s & _SLOT_MASK
+    })
 
 
 def sqfree_part(f: MPoly, main: str = "P", base: str = "x") -> MPoly:
     """Product of the distinct irreducible factors (primitive form).
 
-    Supports polynomials whose variables lie in {main, base}.
+    Supports polynomials whose variables lie in {main, base}.  The content
+    c in base and the primitive part p = f/c are reduced apart, each as
+    h/gcd(h, dh/dv) over its own variable v (in characteristic 0 the gcd
+    holds each repeated factor once less), with every gcd taken by the
+    primitive prem chain.
     """
     f = primitive_part(f)
     if f.is_zero() or f.is_constant():
         return f
-    used = f.variables()
-    if not used <= {main, base}:
+    if not f.variables() <= {main, base}:
         raise AlgebraError("sqfree_part supports at most the two given variables")
-    if used == {base}:
-        return primitive_part(_upoly_to_mpoly(_usqfree(_mpoly_to_upoly(f, base)), f.ring, base))
-    if used == {main}:
-        return primitive_part(_upoly_to_mpoly(_usqfree(_mpoly_to_upoly(f, main)), f.ring, main))
-
-    cm = f.as_coeff_map(main)
-    d = max(cm)
-    rows = [
-        _mpoly_to_upoly(cm[i], base) if i in cm else []
-        for i in range(d + 1)
-    ]
-    cont = _bi_content([r for r in rows if r])
-    prim = _bi_prim(rows)
-    deriv = _bi_trim([_uscale(prim[i], Fraction(i)) for i in range(1, len(prim))])
-    g = _bi_gcd(prim, deriv)
-
-    def rows_to_poly(rr: list[list[Fraction]]) -> MPoly:
-        out = MPoly.zero(f.ring)
-        pvar = MPoly.var(f.ring, main)
-        for i, r in enumerate(rr):
-            if r:
-                out = out + _upoly_to_mpoly(r, f.ring, base) * pvar ** i
-        return out
-
-    prim_poly = rows_to_poly(prim)
-    g_poly = rows_to_poly(g)
-    core = exact_div(prim_poly, g_poly)
-    if core is None:
-        raise AlgebraError("squarefree division failed")
-    result = core * _upoly_to_mpoly(_usqfree(cont), f.ring, base)
-    return primitive_part(result)
+    c, p = _split_content(f, main, base)
+    out = MPoly.const(f.ring, 1)
+    for h, v, b in ((p, main, base), (c, base, None)):
+        if h.degree(v) > 0:
+            core = exact_div(h, _gcd(h, _derivative(h, v), v, b))
+            if core is None:
+                raise AlgebraError("squarefree division failed")
+            out = out * core
+    return primitive_part(out)
 
 
 # determinants and resultants ----------------------------------------------

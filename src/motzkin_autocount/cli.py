@@ -16,7 +16,7 @@ import sys
 
 from .algebra import MPoly, Series, poly_json_terms, poly_text, series_vanishes
 from .guesser import GuessConfig, guess_algebraic, verify_guess
-from .numeric_dp import DPTable, SpecError, sequence
+from .numeric_dp import DPTable, sequence
 from .oracle import OracleGuardError, list_restricted, oracle_guard, oracle_sequence
 from .stepset import EMPTY, RestrictionSpec, StepSetError, parse_stepset
 from .symbolic import (
@@ -127,10 +127,7 @@ def _cmd_seq(args) -> int:
     if args.N < 0:
         raise ValueError("N must be nonnegative")
     spec = _spec_of(args)
-    try:
-        values = sequence(spec, args.N)
-    except SpecError as e:
-        raise ValueError(f"{e}; the fab command handles height-0 restrictions") from e
+    values = sequence(spec, args.N)
     if args.format == "json":
         _emit_json({"command": "seq", "spec": spec.describe(), "N": args.N,
                     "values": values})
@@ -219,11 +216,7 @@ def _cmd_verify(args) -> int:
     spec = _spec_of(args)
     pv = bool(spec.peaks or spec.valleys)
     runs = bool(spec.up_runs or spec.down_runs or spec.flat_runs)
-
-    try:
-        table = DPTable(spec)
-    except SpecError as e:
-        raise ValueError(f"{e}; the fab command handles height-0 restrictions") from e
+    table = DPTable(spec)
 
     top = min(args.N, oracle_guard())
     agree = oracle_sequence(spec, top) == [table.count(n) for n in range(top + 1)]
@@ -275,7 +268,7 @@ def main(argv=None) -> int:
         return EXIT_OK if e.code in (0, None) else EXIT_USAGE
     try:
         return _DISPATCH[args.command](args)
-    except (StepSetError, SpecError, OracleGuardError, ValueError) as e:
+    except (StepSetError, OracleGuardError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as e:

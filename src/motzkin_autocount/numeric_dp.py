@@ -21,10 +21,13 @@ length or below 0):
     flat_before_up(m, n)   = sum_r up(m-r, n) + down_before_up(m-r, n)
     flat_before_down(m, n) = sum_r up_before_down(m-r, n) + down(m-r, n)
 
-The count of restricted paths of length n is down(n, 0) + flat(n, 0); the
-height-0 seed down(0, 0) = 1 doubles as the path start, which is why this
-route rejects specs forbidding peak or valley height 0 (the symbolic engine
-covers those).
+The seed down(0, 0) = 1 stands for the path start, so the valley filter
+spares it: down_before_up(0, 0) = 1 even when 0 is a forbidden valley
+height, since the start closes no down-run.  The count of restricted paths
+of length n is down(n, 0) + flat(n, 0), less 1 when 0 is a forbidden peak
+height and the flat-only path of length n is otherwise admissible (n = 0 or
+n not a forbidden flat-run length): that path is the one whose peak lies at
+height 0, and no up-run ends there for the filter to catch.
 
 Each recurrence is a run sum  T(m, n) = sum_{r >= 1, r not in R} g(m-r, n+s*r)
 with slope s = +1 for down, -1 for up and 0 for the three flat tables.  The
@@ -58,10 +61,6 @@ from collections import deque
 from operator import add, sub
 
 from .stepset import RestrictionSpec, StepSet
-
-
-class SpecError(ValueError):
-    """Spec outside this engine's domain."""
 
 
 def _back(rows: deque, k: int, slope: int, width: int) -> list[int] | None:
@@ -120,12 +119,8 @@ class DPTable:
     """Lazily grown tables for one restriction spec."""
 
     def __init__(self, spec: RestrictionSpec):
-        if 0 in spec.peaks or 0 in spec.valleys:
-            raise SpecError(
-                "forbidden peak/valley height 0 is not supported by the "
-                "dynamic-programming counter; use the symbolic peak/valley engine"
-            )
         self.spec = spec
+        self._flat_peak = 0 in spec.peaks  # the flat-only path peaks at height 0
         # row m holds values for heights 0..m
         self._up: list[list[int]] = []
         self._down: list[list[int]] = []
@@ -167,7 +162,7 @@ class DPTable:
         return self.up(m, n)
 
     def down_before_up(self, m: int, n: int) -> int:
-        if n in self.spec.valleys:
+        if m and n in self.spec.valleys:  # the start (m = 0) is no valley
             return 0
         return self.down(m, n)
 
@@ -198,6 +193,8 @@ class DPTable:
         self._valley.append(m in self.spec.valleys)
         row_ud = [0 if banned else v for banned, v in zip(self._peak, row_u)]
         row_du = [0 if banned else v for banned, v in zip(self._valley, row_d)]
+        if m == 0:
+            row_du[0] = 1  # the path start forms no valley
 
         self._sum_down.push(list(map(add, row_ud, row_fd)))
         self._sum_up.push(list(map(add, row_du, row_fu)))
@@ -213,7 +210,10 @@ class DPTable:
 
     def count(self, n: int) -> int:
         """Restricted paths of length n (end at height 0)."""
-        return self.down(n, 0) + self.flat(n, 0)
+        total = self.down(n, 0) + self.flat(n, 0)
+        if self._flat_peak and (n == 0 or n not in self.spec.flat_runs):
+            total -= 1
+        return total
 
 
 def sequence(spec: RestrictionSpec, n: int) -> list[int]:

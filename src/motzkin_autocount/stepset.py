@@ -215,9 +215,8 @@ class RestrictionSpec:
 
     peaks / valleys are forbidden heights; up_runs / down_runs / flat_runs are
     forbidden maximal-run lengths.  Run-length sets must not contain 0 (a run
-    has positive length by definition); height sets may contain 0, though the
-    dynamic-programming counter rejects that case and the symbolic engine
-    handles it.
+    has positive length by definition); height sets may contain 0, and a
+    flat-only path (the empty one included) has its peak at height 0.
     """
 
     peaks: StepSet = field(default=EMPTY)

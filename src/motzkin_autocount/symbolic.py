@@ -51,7 +51,7 @@ from .algebra import (
 )
 from .guesser import HOLDOUT, GuessConfig, guess_algebraic, guess_linear
 from .numeric_dp import DPTable
-from .oracle import OracleGuardError, enumerate_motzkin, oracle_guard, oracle_sequence
+from .oracle import enumerate_motzkin, oracle_sequence
 from .stepset import EMPTY, RestrictionSpec, StepSet
 
 ROOT = "P"
@@ -561,70 +561,13 @@ def iterate_series(system: EquationSystem, n: int) -> list:
 def reference_series(
     spec: RestrictionSpec, n: int, tables: dict[RestrictionSpec, DPTable] | None = None
 ) -> list[int]:
-    """Counts a(0..n), routed around the DP's two unsupported cases.
-
-    A forbidden peak height 0 excludes exactly the admissible all-flat
-    paths, so those specs reduce to the relaxed spec minus a 0/1
-    correction.  A forbidden valley height 0 (with no run restrictions)
-    forces a single axis return, reducing to a shifted spec under a double
-    geometric factor.  Anything else runs the DP directly; the rare specs
-    whose reductions cycle fall back to the brute-force oracle.
+    """Counts a(0..n) from the DP table of spec.
 
     ``tables`` holds the DP table of each spec counted so far; a caller
     that passes one dict to all its calls grows one table per spec instead
     of building a new one per call.
     """
-    return _reference(spec, n, set(), {} if tables is None else tables)
-
-
-def _reference(spec: RestrictionSpec, n: int, seen: set, tables: dict) -> list[int]:
-    key = (spec.peaks, spec.valleys, spec.up_runs, spec.down_runs, spec.flat_runs)
-    runs_restricted = bool(spec.up_runs or spec.down_runs or spec.flat_runs)
-
-    def oracle_fallback() -> list[int]:
-        if n > oracle_guard():
-            raise OracleGuardError(
-                "this spec needs the brute-force oracle beyond its guard; "
-                "raise MOTZKIN_ORACLE_GUARD to proceed"
-            )
-        return oracle_sequence(spec, n)
-
-    if key in seen:
-        return oracle_fallback()
-    seen = seen | {key}
-
-    if 0 in spec.peaks:
-        relaxed = RestrictionSpec(
-            spec.peaks.remove_zero(),
-            spec.valleys,
-            spec.up_runs,
-            spec.down_runs,
-            spec.flat_runs,
-        )
-        sub = _reference(relaxed, n, seen, tables)
-        out = []
-        for k in range(n + 1):
-            flat_ok = k == 0 or k not in spec.flat_runs
-            out.append(sub[k] - (1 if flat_ok else 0))
-        return out
-
-    if 0 in spec.valleys:
-        if runs_restricted:
-            # the single-arch reduction merges boundary flat blocks with
-            # interior runs, so it is unsound under run restrictions
-            return oracle_fallback()
-        inner = RestrictionSpec(
-            spec.peaks.decrement(), spec.valleys.remove_zero().decrement()
-        )
-        sub = _reference(inner, n, seen, tables)
-        out = []
-        for k in range(n + 1):
-            total = 1  # the all-flat path
-            for j in range(k - 1):
-                total += (k - 1 - j) * sub[j]
-            out.append(total)
-        return out
-
+    tables = {} if tables is None else tables
     table = tables.get(spec)
     if table is None:
         table = tables[spec] = DPTable(spec)

@@ -88,7 +88,25 @@ def ref_mul(a, b):
     return {e: c for e, c in out.items() if c}
 
 
+def ref_eval(f, i, t):
+    """f at the point with variable i set to t and every other one to 1."""
+    return sum(c * t ** e[i] for e, c in f.items())
+
+
 def ref_div(f, g):
+    # Scaled to an integer f and a primitive g, an exact quotient is integral
+    # (Gauss's lemma), so g(a) divides f(a) at every integer point a.  A point
+    # where it does not proves a miss at once; the long division of a miss
+    # can run for thousands of steps on growing Fraction coefficients.
+    k = len(next(iter(g)))
+    den = lcm(*(c.denominator for c in f.values()))
+    fi = {e: int(c * den) for e, c in f.items()}
+    gp = {e: int(c) for e, c in ref_primitive(g).items()}
+    for i in {0, k // 2, k - 1}:
+        for t in (2, 3):
+            gv = ref_eval(gp, i, t)
+            if gv and ref_eval(fi, i, t) % gv:
+                return None
     ge = max(g)
     q, rem = {}, dict(f)
     while rem:
@@ -251,6 +269,20 @@ def _ends(a, b):
 @example((SIX, [{_ends(1, 16383): Fraction(1), _ends(0, 16383): Fraction(1)},
                 {_ends(1, 0): Fraction(1), _ends(0, 16382): Fraction(1)},
                 {_ends(2, 16383): Fraction(-1)}]))
+# misses with a term of degree 16382 whose long division in the reference
+# runs thousands of steps (hypothesis seeds 5, 7 and 13)
+@example((make_ring("v0", "v1", "v2", "v3"), [
+    {}, {(16382, 2, 3, 3): Fraction(-7, 2), (16382, 0, 3, 0): Fraction(2),
+         (1, 16382, 16383, 0): Fraction(4, 3)},
+    {(16383, 16382, 3, 16383): Fraction(-2)}]))
+@example((make_ring("v0", "v1"), [
+    {(2, 0): Fraction(7), (2, 16383): Fraction(-1)},
+    {(3, 0): Fraction(-7, 3), (0, 0): Fraction(3)},
+    {(0, 3): Fraction(3), (3, 0): Fraction(3), (16382, 0): Fraction(-5), (1, 2): Fraction(3)}]))
+@example((make_ring("v0"), [
+    {(1,): Fraction(-9), (0,): Fraction(8), (3,): Fraction(4)},
+    {(3,): Fraction(-2), (1,): Fraction(-1), (0,): Fraction(5)},
+    {(16382,): Fraction(-5, 4), (2,): Fraction(5), (3,): Fraction(5, 2), (0,): Fraction(4)}]))
 def test_exact_div_hits_and_misses_match_the_reference(case):
     ring, (f, g, h) = case
     if not g:
@@ -321,6 +353,11 @@ def test_exact_div():
     assert exact_div(P * P - X * X, P - X) == P + X
     assert exact_div(P * P - X * X + 1, P - X) is None
     assert exact_div(MPoly.zero(PX), P) == MPoly.zero(PX)
+    # rational coefficients, one of them an integral Fraction
+    half = P * Fraction(1, 2)
+    assert exact_div(2 * P, half * 2) == MPoly.const(PX, 2)
+    assert exact_div(P * P - X * Fraction(1, 4), half - X) is None
+    assert exact_div(half * half - X * X, half + X) == half - X
     with pytest.raises(ZeroDivisionError):
         exact_div(P, MPoly.zero(PX))
 
@@ -353,6 +390,32 @@ def test_sqfree_part_drops_repeated_factors():
     f = (P - X) * (P - X) * (P + 1)
     got = sqfree_part(f)
     assert got == primitive_part((P - X) * (P + 1))
+    # content in x and primitive part in P are reduced apart
+    g = (X * X - 1) ** 2 * X ** 3 * (P + 1) ** 2 * 6
+    assert sqfree_part(g) == (X * X - 1) * X * (P + 1)
+
+
+def small_factor(names):
+    # integer polynomials in the given variables, degree <= 2 in each
+    exps = st.tuples(*(st.integers(0, 2) if v in names else st.just(0) for v in PX))
+    return st.dictionaries(exps, st.integers(-3, 3), min_size=1, max_size=3).map(
+        lambda t: MPoly(PX, t)).filter(lambda f: not f.is_zero())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([("P", "x"), ("P",), ("x",)]).flatmap(
+    lambda names: st.tuples(*(small_factor(names) for _ in range(3)))))
+@example((2 * P + 4, X * X - 1, 3 * X))
+def test_sqfree_part_ignores_multiplicity(factors):
+    # both univariate cases (no x, no P) are drawn as well as the bivariate one
+    a, b, c = factors
+    f = a * b * b * c * c
+    want = sqfree_part(a * b * c)
+    assert sqfree_part(f) == want
+    assert sqfree_part(f * f) == want
+    # want holds every factor of f, which repeats none more than 2 + 4 + 4 times
+    assert exact_div(primitive_part(f), want) is not None
+    assert exact_div(want ** 10, primitive_part(f)) is not None
 
 
 # determinants and linear systems ------------------------------------------

@@ -54,12 +54,11 @@ def test_seq_json_payload(run_cli):
     assert payload["spec"]["peaks"] == "{}"
 
 
-def test_seq_rejects_height_zero_with_pointer(run_cli):
-    rc, out, err = run_cli("seq", "--A", "{0}", "--N", "5")
-    assert rc == 1
-    assert out == ""
-    assert err.startswith("error:")
-    assert "fab" in err
+def test_seq_counts_height_zero_specs(run_cli):
+    # only the flat-only paths peak at height 0
+    rc, out, err = run_cli("seq", "--A", "{0}", "--N", "8")
+    assert (rc, err) == (0, "")
+    assert out == "0,0,1,3,8,20,50,126,322\n"
 
 
 def test_seq_rejects_negative_length(run_cli):
@@ -146,11 +145,11 @@ def test_guess_is_checked_past_the_fitted_prefix(run_cli, monkeypatch):
     assert "failed on fresh terms" in err
 
 
-def test_guess_past_the_oracle_guard_is_a_domain_error(run_cli):
-    # a height-0 valley under run restrictions needs the oracle for N terms
+def test_guess_counts_height_zero_specs_without_the_oracle(run_cli, refuse_paths):
+    # 30 terms lie past the oracle's guard; the DP counts them all
     rc, out, err = run_cli("guess", "--B", "{0}", "--C", "{1}", "--N", "30")
-    assert (rc, out) == (1, "")
-    assert "MOTZKIN_ORACLE_GUARD" in err
+    assert (rc, out) == (3, "NOT_FOUND\n")
+    assert "error" not in err
 
 
 def test_guess_insufficient_terms(run_cli, monkeypatch):
@@ -198,6 +197,11 @@ def test_fcde_progression_sets(run_cli, fcde_goldens):
 
 def test_verify_unrestricted(run_cli):
     rc, out, _ = run_cli("verify", "--N", "10")
+    assert (rc, out) == (0, "PASS,PASS\n")
+
+
+def test_verify_height_zero_valleys(run_cli):
+    rc, out, _ = run_cli("verify", "--B", "{0}", "--N", "10")
     assert (rc, out) == (0, "PASS,PASS\n")
 
 

@@ -2,8 +2,7 @@
 
 import random
 
-import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from motzkin_autocount import (
@@ -11,7 +10,6 @@ from motzkin_autocount import (
     MPoly,
     RestrictionSpec,
     Series,
-    SpecError,
     StepSet,
     motzkin_numbers,
     oracle_sequence,
@@ -69,12 +67,28 @@ def test_peak_filter_view():
     assert t.up_before_down(1, 1) == 0
 
 
-def test_height_zero_restrictions_are_rejected():
-    for kw in ({"peaks": StepSet((0,))}, {"valleys": StepSet((0, 2))}):
-        with pytest.raises(SpecError):
-            DPTable(RestrictionSpec(**kw))
-    with pytest.raises(SpecError):
-        sequence(spec(B="{2*r}"), 4)
+def _text(values) -> str:
+    return "{" + ",".join(map(str, sorted(values))) + "}"
+
+
+HEIGHTS = st.one_of(st.frozensets(st.integers(0, 4), max_size=3).map(_text),
+                    st.sampled_from(["{2*r}", "{2*r+1}", "{r+2}"]))
+ZERO_HEIGHTS = st.one_of(st.frozensets(st.integers(1, 4), max_size=2).map(lambda v: _text(v | {0})),
+                         st.sampled_from(["{2*r}", "{0,2*r+1}", "{r}"]))
+RUNS = st.frozensets(st.integers(1, 3), max_size=2).map(_text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.tuples(ZERO_HEIGHTS, HEIGHTS), st.tuples(HEIGHTS, ZERO_HEIGHTS)),
+       RUNS, RUNS, RUNS)
+@example(("{0}", "{}"), "{}", "{}", "{1}")
+@example(("{}", "{0}"), "{1}", "{}", "{}")
+@example(("{0}", "{0}"), "{}", "{}", "{2}")
+def test_height_zero_specs_match_oracle(heights, c, d, e):
+    # the path start forms no valley, and the flat-only path is the one
+    # whose peak lies at height 0
+    s = spec(*heights, c, d, e)
+    assert sequence(s, 10) == oracle_sequence(s, 10), s.describe()
 
 
 def test_height_one_peak_ban_counts_only_flat_paths_at_small_length():

@@ -330,11 +330,11 @@ def test_reference_series_grows_the_table_it_is_given():
     table = tables[spec]
     assert reference_series(spec, 20, tables) == sequence(spec, 20)
     assert tables == {spec: table}
-    # a height-0 spec reduces to the relaxed spec, whose table is kept
+    # a height-0 spec keeps its own table
     zero = RestrictionSpec(peaks=parse_stepset("{0}"))
     tables = {}
     assert reference_series(zero, 10, tables) == oracle_sequence(zero, 10)
-    assert list(tables) == [RestrictionSpec()]
+    assert list(tables) == [zero]
 
 
 def test_iterate_series_matches_dp_on_mixed_examples():
@@ -343,7 +343,7 @@ def test_iterate_series_matches_dp_on_mixed_examples():
         assert iterate_series(system, 12) == sequence(run_spec(*sets), 12)
 
 
-# reference series routing ------------------------------------------------------
+# reference series on height 0 --------------------------------------------------
 
 
 def test_reference_series_handles_height_zero_peaks():
