@@ -1127,36 +1127,25 @@ def series_solve(
     if order < len(known):
         return Series(tuple(known[:order]))
 
-    cm = F.as_coeff_map(main)
-    if not cm:
+    if F.is_zero():
         raise AlgebraError("zero polynomial")
-    dF = {i - 1: c * i for i, c in cm.items() if i >= 1}
-    if not dF:
+    dF = _derivative(F, main)
+    if dF.is_zero():
         raise AlgebraError("polynomial does not involve " + main)
 
-    def eval_at(coeffmap: dict[int, MPoly], pk: Series) -> Series:
-        d = max(coeffmap)
-        acc = _coeff_series(coeffmap[d], base, pk.order)
-        for i in range(d - 1, -1, -1):
-            acc = acc * pk + _coeff_series(
-                coeffmap.get(i, MPoly.zero(F.ring)), base, pk.order
-            )
-        return acc
-
-    check = eval_at(cm, Series(tuple(known)))
-    if not check.is_zero():
+    if not poly_series_eval(F, Series(tuple(known)), main, base).is_zero():
         raise AlgebraError("prefix does not satisfy the equation")
 
     while len(known) < order:
         k = len(known)
-        deriv_val = eval_at(dF, Series(tuple(known) + (0,) * k))
+        deriv_val = poly_series_eval(dF, Series(tuple(known) + (0,) * k), main, base)
         v = deriv_val.valuation()
         if v is None or v >= k:
             raise BranchAmbiguityError(
                 "the linear step degenerates; supply a longer prefix"
             )
         pk = Series(tuple(known) + (0,) * (v + 1))
-        value = eval_at(cm, pk)
+        value = poly_series_eval(F, pk, main, base)
         if any(value.coeffs[t] != 0 for t in range(k, k + v)):
             raise AlgebraError("no series extension exists for this prefix")
         known.append(_coeff(-Fraction(value.coeffs[k + v]) / deriv_val.coeffs[v]))

@@ -22,6 +22,8 @@ from .stepset import EMPTY, RestrictionSpec, StepSetError, parse_stepset
 from .symbolic import (
     build_peak_valley_system,
     build_run_system,
+    fab,
+    fcde,
     iterate_series,
     reference_series,
     solve_system,
@@ -186,24 +188,13 @@ def _cmd_guess(args) -> int:
     return EXIT_OK
 
 
-def _cmd_fab(args) -> int:
-    system = build_peak_valley_system(args.A, args.B)
-    spec = RestrictionSpec(peaks=args.A, valleys=args.B)
-    F = solve_system(system, spec)
-    if args.format == "json":
-        _emit_json({"command": "fab", "spec": spec.describe(),
-                    "polynomial": _poly_payload(F)})
+def _cmd_derive(args) -> int:
+    if args.command == "fab":
+        F = fab(args.A, args.B)
     else:
-        print(poly_text(F))
-    return EXIT_OK
-
-
-def _cmd_fcde(args) -> int:
-    system = build_run_system(args.C, args.D, args.E)
-    spec = RestrictionSpec(up_runs=args.C, down_runs=args.D, flat_runs=args.E)
-    F = solve_system(system, spec)
+        F = fcde(args.C, args.D, args.E)
     if args.format == "json":
-        _emit_json({"command": "fcde", "spec": spec.describe(),
+        _emit_json({"command": args.command, "spec": _spec_of(args).describe(),
                     "polynomial": _poly_payload(F)})
     else:
         print(poly_text(F))
@@ -254,8 +245,8 @@ _DISPATCH = {
     "seq": _cmd_seq,
     "oracle": _cmd_oracle,
     "guess": _cmd_guess,
-    "fab": _cmd_fab,
-    "fcde": _cmd_fcde,
+    "fab": _cmd_derive,
+    "fcde": _cmd_derive,
     "verify": _cmd_verify,
 }
 

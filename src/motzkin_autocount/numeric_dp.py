@@ -1,36 +1,42 @@
 """Polynomial-time counting of restricted paths, split by final-run type.
 
-Tables are indexed by (length m, height n) and classified by how the walk
-ends: up(m, n), down(m, n), and flat(m, n) count non-negative walks from the
-origin to (m, n) whose completed runs already satisfy the restrictions and
-which end with the named step.  Two filtered views enforce the height
-restrictions at the moment a peak or valley closes: up_before_down zeroes a
-walk whose pending up-run tops out at a forbidden peak height, and
-down_before_up zeroes one whose pending down-run bottoms out at a forbidden
-valley height.  flat_before_up and flat_before_down are the flat-run
-variants that remember what preceded the flat block, so the peak or valley
+Rows are indexed by (length m, height n) and classified by how the walk
+ends: up(m, n) and down(m, n) count non-negative walks from the origin to
+(m, n) whose completed runs already satisfy the restrictions and which end
+with the named step.  Two filtered rows enforce the height restrictions at
+the moment a peak or valley closes: up_before_down zeroes a walk whose
+pending up-run tops out at a forbidden peak height, and down_before_up
+zeroes one whose pending down-run bottoms out at a forbidden valley height.
+flat_before_up and flat_before_down count the walks that end with a flat
+step and remember what preceded the flat block, so the peak or valley
 formed across it is filtered with the right height.
 
-Recurrences, with r running over run lengths outside the relevant forbidden
-set (empty walk: down(0, 0) = 1; everything is 0 for heights above the
-length or below 0):
+Four recurrences, with r running over run lengths outside the relevant
+forbidden set (empty walk: down(0, 0) = 1; everything is 0 for heights
+above the length or below 0):
 
     down(m, n) = sum_r up_before_down(m-r, n+r) + flat_before_down(m-r, n+r)
-    flat(m, n) = sum_r down(m-r, n) + up(m-r, n)
     up(m, n)   = sum_r down_before_up(m-r, n-r) + flat_before_up(m-r, n-r)
     flat_before_up(m, n)   = sum_r up(m-r, n) + down_before_up(m-r, n)
     flat_before_down(m, n) = sum_r up_before_down(m-r, n) + down(m-r, n)
 
 The seed down(0, 0) = 1 stands for the path start, so the valley filter
 spares it: down_before_up(0, 0) = 1 even when 0 is a forbidden valley
-height, since the start closes no down-run.  The count of restricted paths
-of length n is down(n, 0) + flat(n, 0), less 1 when 0 is a forbidden peak
-height and the flat-only path of length n is otherwise admissible (n = 0 or
-n not a forbidden flat-run length): that path is the one whose peak lies at
-height 0, and no up-run ends there for the filter to catch.
+height, since the start closes no down-run.
+
+The walks of length n that end at height 0 end with a down step or with a
+flat block.  No up-run ends at height 0 (one of length r would start at
+height -r), so up(m, 0) = up_before_down(m, 0) = 0 for every m, and the
+walks ending with a flat block at height 0 are flat_before_down(n, 0); no
+separate sum over flat blocks is needed.  The count of restricted paths of
+length n is down(n, 0) + flat_before_down(n, 0), less 1 when 0 is a
+forbidden peak height and the flat-only path of length n is otherwise
+admissible (n = 0 or n not a forbidden flat-run length): that path is the
+one whose peak lies at height 0, and no up-run ends there for the filter to
+catch.
 
 Each recurrence is a run sum  T(m, n) = sum_{r >= 1, r not in R} g(m-r, n+s*r)
-with slope s = +1 for down, -1 for up and 0 for the three flat tables.  The
+with slope s = +1 for down, -1 for up and 0 for the two flat sums.  The
 fill does not add it up term by term.  With the running sums along the slope
 
     S_d(m, n) = g(m, n) + S_d(m-d, n+s*d)        (0 outside the table)
@@ -51,8 +57,8 @@ O(1 + |finite| + |progressions|), so N rows cost O(N^2 * (1 + |finite| +
 sum.  The peak and valley filters are boolean masks over heights, grown with
 the rows, so the fill tests set membership twice per row rather than per
 cell.  Only the last max(1, d, every offset, every finite element) rows of
-each running sum and of each g are kept; the five base tables are kept in
-full.
+each running sum and of each g are kept, and no other past row: a table
+holds those windows, the two masks and one count per length.
 """
 
 from __future__ import annotations
@@ -116,76 +122,29 @@ class _RunSum:
 
 
 class DPTable:
-    """Lazily grown tables for one restriction spec."""
+    """Lazily grown counts for one restriction spec."""
 
     def __init__(self, spec: RestrictionSpec):
         self.spec = spec
         self._flat_peak = 0 in spec.peaks  # the flat-only path peaks at height 0
-        # row m holds values for heights 0..m
-        self._up: list[list[int]] = []
-        self._down: list[list[int]] = []
-        self._flat: list[list[int]] = []
-        self._flat_up: list[list[int]] = []
-        self._flat_down: list[list[int]] = []
+        self._counts: list[int] = []  # entry n: restricted paths of length n
         # entry n: is n a forbidden peak / valley height
         self._peak: list[bool] = []
         self._valley: list[bool] = []
         self._sum_down = _RunSum(spec.down_runs, 1)
         self._sum_up = _RunSum(spec.up_runs, -1)
-        self._sum_flat = _RunSum(spec.flat_runs, 0)
         self._sum_flat_up = _RunSum(spec.flat_runs, 0)
         self._sum_flat_down = _RunSum(spec.flat_runs, 0)
 
-    # filtered reads ----------------------------------------------------
-
-    def _get(self, table: list[list[int]], m: int, n: int) -> int:
-        if m < 0 or n < 0 or n > m:
-            return 0
-        return table[m][n]
-
-    def up(self, m: int, n: int) -> int:
-        self.ensure(m)
-        return self._get(self._up, m, n)
-
-    def down(self, m: int, n: int) -> int:
-        self.ensure(m)
-        return self._get(self._down, m, n)
-
-    def flat(self, m: int, n: int) -> int:
-        self.ensure(m)
-        return self._get(self._flat, m, n)
-
-    def up_before_down(self, m: int, n: int) -> int:
-        # an up-run ending at a forbidden peak height must not be closed by a down-step
-        if n in self.spec.peaks:
-            return 0
-        return self.up(m, n)
-
-    def down_before_up(self, m: int, n: int) -> int:
-        if m and n in self.spec.valleys:  # the start (m = 0) is no valley
-            return 0
-        return self.down(m, n)
-
-    def flat_before_up(self, m: int, n: int) -> int:
-        self.ensure(m)
-        return self._get(self._flat_up, m, n)
-
-    def flat_before_down(self, m: int, n: int) -> int:
-        self.ensure(m)
-        return self._get(self._flat_down, m, n)
-
-    # table fill --------------------------------------------------------
-
     def ensure(self, m: int) -> None:
-        while len(self._down) <= m:
-            self._fill_row(len(self._down))
+        while len(self._counts) <= m:
+            self._fill_row(len(self._counts))
 
     def _fill_row(self, m: int) -> None:
         row_d = self._sum_down.row(m)
         if m == 0:
             row_d[0] = 1  # the empty walk
         row_u = self._sum_up.row(m)
-        row_f = self._sum_flat.row(m)
         row_fu = self._sum_flat_up.row(m)
         row_fd = self._sum_flat_down.row(m)
 
@@ -198,22 +157,19 @@ class DPTable:
 
         self._sum_down.push(list(map(add, row_ud, row_fd)))
         self._sum_up.push(list(map(add, row_du, row_fu)))
-        self._sum_flat.push(list(map(add, row_d, row_u)))
         self._sum_flat_up.push(list(map(add, row_u, row_du)))
         self._sum_flat_down.push(list(map(add, row_ud, row_d)))
 
-        self._up.append(row_u)
-        self._down.append(row_d)
-        self._flat.append(row_f)
-        self._flat_up.append(row_fu)
-        self._flat_down.append(row_fd)
+        # flat(m, 0) = flat_before_down(m, 0), since no up-run ends at height 0
+        total = row_d[0] + row_fd[0]
+        if self._flat_peak and (m == 0 or m not in self.spec.flat_runs):
+            total -= 1
+        self._counts.append(total)
 
     def count(self, n: int) -> int:
         """Restricted paths of length n (end at height 0)."""
-        total = self.down(n, 0) + self.flat(n, 0)
-        if self._flat_peak and (n == 0 or n not in self.spec.flat_runs):
-            total -= 1
-        return total
+        self.ensure(n)
+        return self._counts[n]
 
 
 def sequence(spec: RestrictionSpec, n: int) -> list[int]:

@@ -152,10 +152,6 @@ class StepSet:
             tuple((d, off - 1) for d, off in self.aps),
         )
 
-    def shift_down(self) -> "StepSet":
-        """decrement(remove_zero(self)); the boundary-set evolution step."""
-        return self.remove_zero().decrement()
-
 
 EMPTY = StepSet()
 

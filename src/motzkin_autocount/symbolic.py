@@ -33,6 +33,7 @@ from typing import Iterable
 
 from .algebra import (
     MPoly,
+    _derivative,
     _substitute_linear,
     Ring,
     Series,
@@ -802,8 +803,7 @@ def proof_holds(
     order from the lower ones, so the tuple is the counting series, alpha
     = P, and hence F(P) = 0.
     """
-    dF = sum((c * i * MPoly.var(F.ring, ROOT) ** (i - 1)
-              for i, c in F.as_coeff_map(ROOT).items() if i), MPoly.zero(F.ring))
+    dF = _derivative(F, ROOT)
     if _at_origin(F, const) != 0 or _at_origin(dF, const) == 0 or _at_origin(den, const) == 0:
         return False
     for v, rel in relations.items():

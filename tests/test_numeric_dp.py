@@ -1,6 +1,7 @@
 """Dynamic-programming counter: pinned sequences and oracle equivalence."""
 
 import random
+import tracemalloc
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -48,23 +49,33 @@ def test_banning_all_flat_runs_leaves_dyck_paths():
     assert all(v == 0 for v in got[1::2])
 
 
-def test_table_boundary_values():
+def test_table_boundary_counts():
     t = DPTable(spec())
-    assert t.down(0, 0) == 1
-    assert t.up(0, 0) == 0
-    assert t.flat(0, 0) == 0
-    assert t.down(2, 0) == 1      # UD
-    assert t.flat(2, 0) == 1      # FF
-    assert t.up(2, 2) == 1        # UU
-    assert t.up(3, 5) == 0
-    assert t.down(1, 0) == 0
+    assert [t.count(n) for n in range(3)] == [1, 1, 2]  # the empty walk; F; UD and FF
+    assert DPTable(spec(E="{1}")).count(1) == 0  # no down step ends a walk of length 1 at 0
+    assert DPTable(spec(E="{r+1}")).count(2) == 1  # UD alone
+    assert DPTable(spec(A="{2}")).count(4) == 8  # UUDD is the one path of length 4 peaking at 2
 
 
-def test_peak_filter_view():
+def test_peak_filter_counts():
+    # UD peaks at the forbidden height 1, so only the flat path survives at length 2
     t = DPTable(spec(A="{1}"))
-    t.ensure(1)
-    assert t.up(1, 1) == 1
-    assert t.up_before_down(1, 1) == 0
+    assert [t.count(n) for n in range(3)] == [1, 1, 1]
+    assert DPTable(spec(A="{2}")).count(2) == 2
+
+
+def test_table_keeps_one_count_per_length():
+    # a table holds its running-sum windows, two masks and one count per
+    # length, and no row per length
+    for s in (spec(), spec(A="{1,4}", B="{1,3}", C="{3*r+1,2}", E="{4*r+2,1,5}")):
+        tracemalloc.start()
+        try:
+            table = DPTable(s)
+            table.ensure(300)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 1_500_000, (s.describe(), held)
 
 
 def _text(values) -> str:

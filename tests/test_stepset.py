@@ -96,7 +96,7 @@ def test_remove_zero_membership(s, n):
 @given(step_sets, st.integers(0, 40))
 def test_shift_down_membership(s, n):
     # the boundary evolution: drop 0, then shift everything down by one
-    assert (n in s.shift_down()) == ((n + 1) in s)
+    assert (n in s.remove_zero().decrement()) == ((n + 1) in s)
 
 
 @given(step_sets)
@@ -119,7 +119,7 @@ def test_shift_down_orbit_is_finite(s):
     seen = {s}
     cur = s
     for _ in range(64):
-        cur = cur.shift_down()
+        cur = cur.remove_zero().decrement()
         if cur in seen:
             return
         seen.add(cur)
