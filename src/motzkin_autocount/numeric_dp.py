@@ -167,7 +167,9 @@ class DPTable:
         self._counts.append(total)
 
     def count(self, n: int) -> int:
-        """Restricted paths of length n (end at height 0)."""
+        """Restricted paths of length n (end at height 0); none when n < 0."""
+        if n < 0:
+            return 0
         self.ensure(n)
         return self._counts[n]
 

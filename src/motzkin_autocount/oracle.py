@@ -4,37 +4,42 @@ Paths are step strings over the alphabet {U, D, F}.  Every restriction is
 read off each path itself, with no sharing of logic with the
 dynamic-programming or symbolic engines; this module is the ground truth
 the faster routes are validated against.  A guard refuses lengths above
-MOTZKIN_ORACLE_GUARD (default 18) because the enumeration is exponential;
-counting and listing check it before they generate or walk a path.
+MOTZKIN_ORACLE_GUARD (default 18; any other value than a nonnegative
+integer is an error) because the enumeration is exponential; counting and
+listing check it before they build a table or generate a path.
 
 Admission reads only bitmasks.  A path's features have five slots (peak
 and valley heights, up-, down- and flat-run lengths), and bit v of a slot
-is set when some feature of that kind has value v (``feature_masks``).  A
-spec's forbidden values 0..n take the same form (``forbidden_masks``, built
-with ``StepSet`` membership), and a path is admitted when each slot ANDs to
-zero with its forbidden slot.  A flat-only path (the empty one included)
-sets peak bit 0: every real peak follows a U step, so has height >= 1.
+is set when some feature of that kind has value v; for lengths <= n slot s
+is bits s*(n+1) .. s*(n+1)+n of one int (``feature_masks``).  A spec's
+forbidden values 0..n take the same form (``forbidden_masks``), and a path
+is admitted when the two AND to zero.  A flat-only path (the empty one
+included) sets peak bit 0: every real peak follows a U step.
 
 A count sums the multiplicities of the admitted mask classes, since paths
-with equal masks get equal verdicts.  ``feature_classes(n)`` tallies them in
-one depth-first walk, spec-free, where each leaf is exactly one path.  The
-walk keeps the height, the kind and length of the current run and the last
-non-flat step.  A run is closed when a step of another kind starts or the
-path ends, as ``features`` splits maximal blocks; a D after a last non-flat
-U ends a ``U F* D`` whose peak height is the height before that D (flats
-keep the height after the U), and a valley ``D F* U`` likewise.  So each
-leaf tallies ``feature_masks(features(path))``, without a path string being
-built or rescanned.  Only the per-length tables are cached, never the
-paths: at length 13 the 15,511 paths fall into 1,077 classes.
-``list_restricted`` filters the paths of ``enumerate_motzkin`` (whose cache
-keeps them) with ``admits``; it and ``features`` are the references the
-walk and the class count are tested against.
+with equal masks get equal verdicts.  ``class_tables(n)`` tallies the
+classes of every length <= n in one spec-free forward sweep over depths.
+A prefix's state is its height, the kind and length of its current run,
+its last non-flat step and its masks so far.  A step of another kind
+closes the run, as ``features`` splits maximal blocks; a D after a last
+non-flat U ends a ``U F* D`` peaking at the height before that D, and a
+valley ``D F* U`` likewise.  Prefixes with equal states are merged and
+their multiplicities added.  This is exact: the suffixes that complete a
+prefix depend only on its height, and the bits a suffix adds (its closing
+of the pending run, a peak or valley against the last non-flat step, every
+later feature) depend only on the state without the masks, so equal
+states stay equal under every completion.  At depth d the states at
+height 0 are the paths of length d; closing their run gives length d's
+table.  The sweep prunes heights above n - d, which no prefix of a path of
+length <= n reaches, so one sweep to n serves every shorter length.  Only
+the tables are cached, never the paths: the 41,835 paths of length 13 fall
+into 1,077 classes.  ``features`` and ``list_restricted`` (which filters
+``enumerate_motzkin`` with ``admits``) are the per-path references.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
@@ -54,7 +59,10 @@ class OracleGuardError(ValueError):
 
 
 def oracle_guard() -> int:
-    return int(os.environ.get("MOTZKIN_ORACLE_GUARD", DEFAULT_GUARD))
+    raw = os.environ.get("MOTZKIN_ORACLE_GUARD", str(DEFAULT_GUARD))
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"MOTZKIN_ORACLE_GUARD must be a nonnegative integer, not {raw!r}")
+    return int(raw)
 
 
 def is_motzkin(path: str) -> bool:
@@ -142,86 +150,73 @@ def features(path: str) -> PathFeatures:
     )
 
 
-# bit v of a slot: value v among peak / valley heights, up / down / flat runs
-Masks = tuple[int, int, int, int, int]
+def _slots(x) -> tuple:
+    # one order for feature and spec slots alike
+    return (x.peaks, x.valleys, x.up_runs, x.down_runs, x.flat_runs)
 
 
-def feature_masks(ft: PathFeatures) -> Masks:
-    """The mask form of ``ft``; a flat-only path sets peak bit 0."""
-    masks = [sum({1 << v for v in vals}) for vals in (
-        ft.peaks, ft.valleys, ft.up_runs, ft.down_runs, ft.flat_runs)]
-    masks[0] |= ft.is_flat_only
-    return tuple(masks)
+def feature_masks(ft: PathFeatures, n: int) -> int:
+    """The packed masks of ``ft`` for lengths <= n; a flat-only path sets peak bit 0."""
+    w = n + 1
+    return sum({1 << (w * slot + v) for slot, vals in enumerate(_slots(ft)) for v in vals},
+               int(ft.is_flat_only))
 
 
 @lru_cache(maxsize=64)  # admits asks for the masks once per path
-def forbidden_masks(spec: RestrictionSpec, n: int) -> Masks:
-    """The values 0..n that the spec forbids, slot by slot."""
-    return tuple(
-        sum(1 << v for v in range(n + 1) if v in s)
-        for s in (spec.peaks, spec.valleys, spec.up_runs, spec.down_runs, spec.flat_runs)
-    )
-
-
-def _admitted(m: Masks, f: Masks) -> bool:
-    # written out slot by slot: a generator over zip() took five times as long
-    return not (m[0] & f[0] or m[1] & f[1] or m[2] & f[2] or m[3] & f[3] or m[4] & f[4])
+def forbidden_masks(spec: RestrictionSpec, n: int) -> int:
+    """The values 0..n that the spec forbids, packed as ``feature_masks``."""
+    w = n + 1
+    return sum(1 << (w * slot + v) for slot, s in enumerate(_slots(spec))
+               for v in range(w) if v in s)
 
 
 def admits(spec: RestrictionSpec, path: str) -> bool:
-    """Does the path avoid everything the spec forbids?
-
-    A path consisting of flat steps only (the empty path included) counts as
-    having a peak at height 0, so it is rejected exactly when 0 is a
-    forbidden peak height.
-    """
-    return _admitted(feature_masks(features(path)), forbidden_masks(spec, len(path)))
+    """Does the path avoid everything the spec forbids?  A flat-only path
+    (the empty one included) has a peak at height 0."""
+    n = len(path)
+    return not feature_masks(features(path), n) & forbidden_masks(spec, n)
 
 
 def _check_guard(n: int) -> None:
-    guard = oracle_guard()
-    if n > guard:
-        raise OracleGuardError(
-            f"length {n} exceeds the brute-force guard {guard}; "
-            "set MOTZKIN_ORACLE_GUARD to override"
-        )
+    if n > (guard := oracle_guard()):
+        raise OracleGuardError(f"length {n} exceeds the brute-force guard {guard}; "
+                               "set MOTZKIN_ORACLE_GUARD to override")
+
+
+def _merge(target: dict, masks: dict, bits: int) -> None:
+    for m, k in masks.items():
+        m |= bits
+        target[m] = target.get(m, 0) + k
 
 
 @lru_cache(maxsize=32)
-def feature_classes(n: int) -> tuple[tuple[Masks, int], ...]:
-    """The feature masks of the paths of length n, with multiplicities, by one walk."""
-    w = n + 1  # run lengths share one int: bit w*kind + length, kind U/D/F = 0/1/2
-    low = (1 << w) - 1
-    tally: Counter = Counter()
-
-    def walk(left, h, kind, run, last, peaks, valleys, runs):
-        # kind, run: the current run; last: the last U (0) or D (1) step
-        if not left:
-            if run:
-                runs |= 1 << (w * kind + run)
-            tally[(peaks | (last is None), valleys,
-                   runs & low, runs >> w & low, runs >> 2 * w)] += 1
-            return
-        left -= 1  # each branch keeps h >= 0 and h <= left, so the path can end at 0
-        closed = runs | 1 << (w * kind + run) if run else runs
-        if h < left:  # U; after D F*, a valley at height h
-            if kind == 0:
-                walk(left, h + 1, 0, run + 1, 0, peaks, valleys, runs)
-            else:
-                walk(left, h + 1, 0, 1, 0, peaks,
-                     valleys | 1 << h if last == 1 else valleys, closed)
-        if h:  # D; after U F*, a peak at height h
-            if kind == 1:
-                walk(left, h - 1, 1, run + 1, 1, peaks, valleys, runs)
-            else:
-                walk(left, h - 1, 1, 1, 1, peaks | 1 << h if last == 0 else peaks,
-                     valleys, closed)
-        if h <= left:  # F
-            walk(left, h, 2, run + 1 if kind == 2 else 1, last, peaks, valleys,
-                 runs if kind == 2 else closed)
-
-    walk(n, 0, None, 0, None, 0, 0, 0)
-    return tuple(tally.items())
+def class_tables(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Entry m <= n: the packed masks of the paths of length m, with multiplicities."""
+    w = n + 1
+    U, D, F = 0, 1, 2  # run kinds; the peak and valley slots are 0 and 1
+    # (height, run kind, run length, last U/D step) -> {masks: paths}
+    frontier: dict = {(0, F, 0, None): {0: 1}}
+    tables = []
+    for left in range(n - 1, -2, -1):  # steps left after the next one
+        table: dict = {}
+        nxt: dict = {}
+        while frontier:  # consumed bucket by bucket, so merged ones are freed
+            (h, kind, run, last), masks = frontier.popitem()
+            closed = 1 << w * (2 + kind) + run if run else 0
+            if not h:  # a path ends: close its run; the flat-only one peaks at 0
+                _merge(table, masks, closed | (last is None))
+            for step, nh in ((U, h + 1), (D, h - 1), (F, h)):
+                if not 0 <= nh <= left:
+                    continue
+                key = (nh, step, run + 1 if step == kind else 1, last if step == F else step)
+                if step == kind:  # only this bucket continues a run to length >= 2
+                    nxt[key] = masks
+                else:  # U F* D: a peak at h (slot U); D F* U: a valley at h (slot D)
+                    turn = 1 << w * last + h if last == 1 - step else 0
+                    _merge(nxt.setdefault(key, {}), masks, closed | turn)
+        tables.append(tuple(table.items()))
+        frontier = nxt
+    return tuple(tables)
 
 
 def list_restricted(n: int, spec: RestrictionSpec) -> list[str]:
@@ -230,19 +225,15 @@ def list_restricted(n: int, spec: RestrictionSpec) -> list[str]:
     return [p for p in enumerate_motzkin(n) if admits(spec, p)]
 
 
-def _count(n: int, forbidden: Masks) -> int:
-    return sum(mult for masks, mult in feature_classes(n) if _admitted(masks, forbidden))
-
-
 def count_restricted(n: int, spec: RestrictionSpec) -> int:
     """The number of admitted paths of length n, summed over feature classes."""
     _check_guard(n)
-    return _count(n, forbidden_masks(spec, n))
+    forbidden = forbidden_masks(spec, n)
+    return sum(k for m, k in class_tables(n)[n] if not m & forbidden)
 
 
 def oracle_sequence(spec: RestrictionSpec, n: int) -> list[int]:
     """Counts for lengths 0..n by direct enumeration."""
     _check_guard(n)
-    # no feature of a path of length m <= n exceeds m, so the masks up to n serve every m
     forbidden = forbidden_masks(spec, n)
-    return [_count(m, forbidden) for m in range(n + 1)]
+    return [sum(k for m, k in table if not m & forbidden) for table in class_tables(n)]

@@ -103,12 +103,12 @@ def run_cli(capsys):
 
 @pytest.fixture()
 def refuse_paths(monkeypatch):
-    """Make any generation or walk of oracle paths during the test fail."""
+    """Make any generation of oracle paths or class tables during the test fail."""
     def refuse(n):
         raise AssertionError(f"paths of length {n} generated")
 
     monkeypatch.setattr(oracle, "motzkin_paths", refuse)
-    monkeypatch.setattr(oracle, "feature_classes", refuse)
+    monkeypatch.setattr(oracle, "class_tables", refuse)
 
 
 def assert_golden_text(F, want):

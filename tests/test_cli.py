@@ -11,7 +11,7 @@ from motzkin_autocount import (
     numeric_dp,
     symbolic,
 )
-from motzkin_autocount.oracle import feature_classes
+from motzkin_autocount.oracle import class_tables
 
 MOTZKIN_LINE = "1,1,2,4,9,21,51,127,323,835,2188"
 
@@ -88,12 +88,23 @@ def test_oracle_json_paths(run_cli):
 
 def test_oracle_respects_the_guard(run_cli, monkeypatch, refuse_paths):
     monkeypatch.setenv("MOTZKIN_ORACLE_GUARD", "8")
-    before = enumerate_motzkin.cache_info(), feature_classes.cache_info()
+    before = enumerate_motzkin.cache_info(), class_tables.cache_info()
     rc, _, err = run_cli("oracle", "--N", "25")
     assert rc == 1
     assert "MOTZKIN_ORACLE_GUARD" in err
-    # refused before enumerating any length
-    assert (enumerate_motzkin.cache_info(), feature_classes.cache_info()) == before
+    # refused before enumerating any length or building any table
+    assert (enumerate_motzkin.cache_info(), class_tables.cache_info()) == before
+
+
+@pytest.mark.parametrize("guard", ["abc", "-1"])
+def test_a_guard_that_is_no_nonnegative_integer_is_refused(run_cli, monkeypatch,
+                                                          refuse_paths, guard):
+    monkeypatch.setenv("MOTZKIN_ORACLE_GUARD", guard)
+    for argv in (("verify", "--N", "3"), ("oracle", "--N", "3")):
+        rc, out, err = run_cli(*argv)
+        assert (rc, out) == (1, "")  # not PASS,PASS after comparing no terms
+        assert err == ("error: MOTZKIN_ORACLE_GUARD must be a nonnegative integer, "
+                       f"not {guard!r}\n")
 
 
 def test_one_parser_serves_every_call(run_cli):

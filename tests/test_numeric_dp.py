@@ -57,6 +57,13 @@ def test_table_boundary_counts():
     assert DPTable(spec(A="{2}")).count(4) == 8  # UUDD is the one path of length 4 peaking at 2
 
 
+def test_no_path_has_a_negative_length():
+    assert DPTable(spec()).count(-1) == 0  # a fresh table, with no count kept
+    t = DPTable(spec(A="{0}"))
+    t.ensure(5)
+    assert [t.count(n) for n in (-1, -6, -7)] == [0, 0, 0]  # not read from the end
+
+
 def test_peak_filter_counts():
     # UD peaks at the forbidden height 1, so only the flat path survives at length 2
     t = DPTable(spec(A="{1}"))

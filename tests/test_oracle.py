@@ -20,8 +20,9 @@ from motzkin_autocount.oracle import (
     DEFAULT_GUARD,
     OracleGuardError,
     admits,
-    feature_classes,
+    class_tables,
     feature_masks,
+    forbidden_masks,
     is_motzkin,
     motzkin_paths,
     oracle_guard,
@@ -155,32 +156,57 @@ def test_guard_default_and_override(monkeypatch):
 
 def test_oracle_sequence_checks_the_guard_before_enumerating(monkeypatch, refuse_paths):
     monkeypatch.setenv("MOTZKIN_ORACLE_GUARD", "5")
-    before = enumerate_motzkin.cache_info(), feature_classes.cache_info()
+    before = enumerate_motzkin.cache_info(), class_tables.cache_info()
     with pytest.raises(OracleGuardError):
         oracle_sequence(spec(), 12)
-    assert (enumerate_motzkin.cache_info(), feature_classes.cache_info()) == before
+    assert (enumerate_motzkin.cache_info(), class_tables.cache_info()) == before
 
 
-def test_oracle_sequence_walks_each_length_once(monkeypatch):
+def test_oracle_sequence_builds_every_length_in_one_sweep(monkeypatch):
     def no_strings(n):
         raise AssertionError(f"path strings of length {n} generated")
 
     monkeypatch.setattr(oracle, "motzkin_paths", no_strings)
-    feature_classes.cache_clear()
+    class_tables.cache_clear()
     before = enumerate_motzkin.cache_info()
     assert oracle_sequence(spec(), 12) == MOTZKIN + [5798, 15511]
-    # no tuple of paths is kept; one class table per length 0..12
+    assert oracle_sequence(spec(C="{1}"), 12)[12] == count_restricted(12, spec(C="{1}"))
+    # no tuple of paths is kept; one build serves every length 0..12
     assert enumerate_motzkin.cache_info() == before
-    info = feature_classes.cache_info()
-    assert (info.misses, info.currsize) == (13, 13)
+    info = class_tables.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
 
 
-def test_walk_tallies_the_features_of_every_path():
-    # the per-path scan is the reference; lengths 0..2 hold the empty and
-    # flat-only paths (peak bit 0) and paths ending in a flat run
-    for n in range(13):
-        scanned = Counter(feature_masks(features(p)) for p in motzkin_paths(n))
-        assert dict(feature_classes(n)) == scanned
+def test_sweep_tallies_the_features_of_every_path():
+    # the per-path scan is the reference; tables of lengths m < N are tallied
+    # mid-sweep, from the prefixes at height 0, and lengths 0..2 hold the
+    # empty and flat-only paths (peak bit 0) and paths ending in a flat run
+    for N in range(13):
+        tables = class_tables(N)
+        assert len(tables) == N + 1
+        for m in range(N + 1):
+            scanned = Counter(feature_masks(features(p), N) for p in motzkin_paths(m))
+            assert dict(tables[m]) == scanned, (N, m)
+
+
+def test_packed_masks_keep_one_slot_per_feature():
+    w = 8  # slot width for lengths <= 7
+    assert feature_masks(features("UDUFDF"), 7) == (
+        1 << 1 | 1 << w | 1 << 2 * w + 1 | 1 << 3 * w + 1 | 1 << 4 * w + 1)
+    assert feature_masks(features(""), 7) == 1  # the flat-only peak at 0
+    assert forbidden_masks(spec(A="{0}", E="{2*r+1}"), 7) == sum(
+        [1] + [1 << 4 * w + v for v in (1, 3, 5, 7)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 12), st.integers(0, 4),
+       st.builds(spec, HEIGHTS, HEIGHTS, RUNS, RUNS, RUNS))
+@example(12, 0, spec(A="{0}"))
+@example(0, 4, spec(A="{0,2*r+1}", B="{2*r+2}", C="{r+2}"))
+def test_count_is_the_sequence_term(m, extra, s):
+    # one length's table packed for n = m against the same length in a
+    # longer sweep, packed for n = m + extra
+    assert count_restricted(m, s) == oracle_sequence(s, m + extra)[m]
 
 
 @settings(max_examples=40)
