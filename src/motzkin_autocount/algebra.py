@@ -3,7 +3,9 @@
 Provides sparse multivariate polynomials with a fixed variable tuple per
 ring (pure lexicographic order, first name biggest), square-free parts by
 the primitive pseudo-remainder chain, Sylvester resultants via
-fraction-free determinants, reduced lex Groebner bases, variable
+fraction-free determinants, exact linear solves block by block (the
+strongly connected blocks of the sparsity pattern in dependency order,
+each by fraction-free Gauss-Jordan), reduced lex Groebner bases, variable
 elimination down to a single bivariate relation, and truncated power-series
 utilities including solving a polynomial equation for its unique series
 root given a disambiguating prefix.
@@ -605,17 +607,38 @@ def det_bareiss(mat: list[list[MPoly]]) -> MPoly:
     return m[n - 1][n - 1] * sign
 
 
-def linear_solve(mat: list[list[MPoly]], rhs: list[MPoly]) -> tuple[list[MPoly], MPoly]:
-    """Exact solution of mat * z = rhs as (numerators, shared denominator).
+def _blocks(mat: list[list[MPoly]]) -> list[tuple[int, ...]]:
+    """Strongly connected blocks of mat's sparsity pattern (row i reaches
+    column j when mat[i][j] != 0), each after every block it reaches.
 
-    Fraction-free Gauss-Jordan elimination: every cross-multiplication step
-    divides exactly by the previous pivot, so entries stay polynomial and the
-    final diagonal carries the determinant up to sign.  Raises
-    EliminationError if the matrix is singular.
+    A block is reach(i) ∩ reachers(i); a block that reaches another has a
+    strictly larger reach, so ordering by |reach| puts dependencies first.
+    """
+    adj = [[j for j, e in enumerate(row) if not e.is_zero()] for row in mat]
+    reach = []
+    for i in range(len(mat)):
+        seen, todo = {i}, [i]
+        while todo:
+            for j in adj[todo.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        reach.append(seen)
+    order = sorted(range(len(mat)), key=lambda i: len(reach[i]))
+    return list(dict.fromkeys(tuple(sorted(j for j in reach[i] if i in reach[j])) for i in order))
+
+
+def _gauss_jordan(mat: list[list[MPoly]], rhs: list[MPoly]) -> tuple[list[MPoly], MPoly]:
+    """linear_solve on one dense block: fraction-free Gauss-Jordan.
+
+    Each cross-multiplication step divides exactly by the previous pivot,
+    so entries stay polynomial and the last pivot is the determinant up to
+    sign.  Every diagonal entry ends equal to that last pivot: at step k a
+    row i < k has a[k][i] = 0 (column i was cleared at step i), so its
+    diagonal becomes a[i][i] * piv_k / piv_(k-1), which telescopes from
+    piv_i to piv_k.  Hence the last column holds the numerators over it.
     """
     n = len(mat)
-    if n == 0 or len(rhs) != n or any(len(row) != n for row in mat):
-        raise EliminationError("linear system must be square")
     ring = rhs[0].ring
     a = [list(mat[i]) + [rhs[i]] for i in range(n)]
     prev = MPoly.const(ring, 1)
@@ -642,15 +665,37 @@ def linear_solve(mat: list[list[MPoly]], rhs: list[MPoly]) -> tuple[list[MPoly],
                 row[j] = q
             row[k] = MPoly.zero(ring)
         prev = piv
-    den = a[n - 1][n - 1]
-    nums = []
-    for i in range(n):
-        if a[i][i] == den:
-            nums.append(a[i][n])
-        else:
-            scale = exact_div(den, a[i][i])
-            assert scale is not None, "diagonal entries divide the determinant"
-            nums.append(a[i][n] * scale)
+    return [row[n] for row in a], prev
+
+
+def linear_solve(mat: list[list[MPoly]], rhs: list[MPoly]) -> tuple[list[MPoly], MPoly]:
+    """Exact solution of mat * z = rhs as (numerators, shared denominator).
+
+    The system is solved block by block: the strongly connected blocks of
+    mat's sparsity pattern (_blocks) in dependency order, each by the
+    fraction-free Gauss-Jordan kernel, after the numerators of the
+    variables it depends on are substituted into its right-hand side.  The
+    shared denominator is the product of the block determinants, which is
+    det(mat) up to sign since mat is block triangular.  Raises
+    EliminationError if the matrix is singular, i.e. if some block is.
+    """
+    n = len(mat)
+    if n == 0 or len(rhs) != n or any(len(row) != n for row in mat):
+        raise EliminationError("linear system must be square")
+    ring = rhs[0].ring
+    nums: list = [None] * n
+    den = MPoly.const(ring, 1)
+    for block in _blocks(mat):
+        sub = []  # the block's right-hand side times den: known z_j = nums[j] / den
+        for i in block:
+            known = (a * z for a, z in zip(mat[i], nums) if z is not None and not a.is_zero())
+            sub.append(rhs[i] * den - sum(known, MPoly.zero(ring)))
+        part, d = _gauss_jordan([[mat[i][j] for j in block] for i in block], sub)
+        if d != 1:
+            nums = [z if z is None else z * d for z in nums]
+            den = den * d
+        for i, z in zip(block, part):
+            nums[i] = z
     return nums, den
 
 

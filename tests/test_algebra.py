@@ -14,6 +14,7 @@ from motzkin_autocount.algebra import (
     EliminationError,
     MPoly,
     Series,
+    _gauss_jordan,
     canonical_bivariate,
     content,
     det_bareiss,
@@ -442,6 +443,63 @@ def test_linear_solve():
         assert lhs == b * den
     with pytest.raises(EliminationError):
         linear_solve([[P, P], [P, P]], [ONE_PX, X])
+
+
+SMALL_ENTRY = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.integers(0, 2)), st.integers(-2, 2), max_size=2
+).map(lambda t: MPoly(PX, t))
+
+
+@st.composite
+def block_triangular(draw):
+    """(mat, rhs, singular): diagonal blocks of size 1-3, each row also
+    reading earlier blocks, then one permutation of rows and columns.
+    ``singular`` makes one diagonal block singular (a row of it a multiple
+    of another, or a zero 1 x 1 block)."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    n = sum(sizes)
+    mat = [[MPoly.zero(PX)] * n for _ in range(n)]
+    starts = [sum(sizes[:b]) for b in range(len(sizes))]
+    for start, size in zip(starts, sizes):
+        for i in range(start, start + size):
+            mat[i][:start + size] = [draw(SMALL_ENTRY) for _ in range(start + size)]
+            mat[i][i] = draw(SMALL_ENTRY.filter(lambda f: not f.is_zero()))
+    singular = draw(st.booleans())
+    if singular:
+        b = draw(st.integers(0, len(sizes) - 1))
+        start, size = starts[b], sizes[b]
+        if size == 1:
+            mat[start][start] = MPoly.zero(PX)
+        else:
+            factor = draw(SMALL_ENTRY)
+            for j in range(start, start + size):
+                mat[start][j] = mat[start + 1][j] * factor
+    rhs = [draw(SMALL_ENTRY) for _ in range(n)]
+    perm = draw(st.permutations(range(n)))
+    return [[mat[i][j] for j in perm] for i in perm], [rhs[i] for i in perm], singular
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_triangular())
+def test_linear_solve_block_by_block_matches_the_whole_matrix(case):
+    mat, rhs, singular = case
+    det = det_bareiss(mat)
+    assert not singular or det.is_zero()
+    if det.is_zero():
+        with pytest.raises(EliminationError):
+            linear_solve(mat, rhs)
+        return
+    nums, den = linear_solve(mat, rhs)
+    assert den in (det, -det)
+    for row, b in zip(mat, rhs):
+        lhs = MPoly.zero(PX)
+        for a, z in zip(row, nums):
+            lhs = lhs + a * z
+        assert lhs == b * den
+    whole, whole_den = _gauss_jordan(mat, rhs)
+    sign = 1 if den == whole_den else -1
+    assert den == whole_den * sign
+    assert nums == [z * sign for z in whole]
 
 
 # resultants ----------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Symbolic grammar expansion, reading arbitration, and equation solving."""
 
 import hashlib
+import random
+from itertools import product
 
 import pytest
 
@@ -26,7 +28,7 @@ from motzkin_autocount.algebra import (
     poly_series_eval,
     series_vanishes,
 )
-from motzkin_autocount import symbolic
+from motzkin_autocount import algebra, symbolic
 from motzkin_autocount.symbolic import (
     BASE,
     ROOT,
@@ -294,6 +296,28 @@ def test_raw_eliminants_are_pinned():
     # the first five are the derive goldens of the benchmark
     assert sum(p for p, _, _ in sizes[:5]) == 35
     assert sum(x for _, x, _ in sizes[:5]) == 570
+
+
+# the battery pool of scripts/equation_audit.py
+AUDIT_POOL = ["{}", "{1}", "{2}", "{3}", "{1,2}", "{1,3}", "{2*r+1}", "{2*r+2}", "{r+2}"]
+
+
+def test_collapse_by_blocks_matches_the_whole_matrix(monkeypatch):
+    specs = list(product(AUDIT_POOL, repeat=3))
+    random.Random(7).shuffle(specs)
+    systems = []
+    for literals in specs:
+        system = build_run_system(*(parse_stepset(t) for t in literals))
+        if system.size() <= 60:
+            systems.append(system)
+        if len(systems) == 30:
+            break
+    blocked = [symbolic._collapse_linear_layer(system) for system in systems]
+    monkeypatch.setattr(symbolic, "linear_solve", algebra._gauss_jordan)
+    for system, (polys, den) in zip(systems, blocked):
+        whole, whole_den = symbolic._collapse_linear_layer(system)
+        assert polys == whole  # term for term
+        assert den in (whole_den, -whole_den)
 
 
 def test_the_fallback_certificate_needs_a_nonzero_cofactor(monkeypatch):
