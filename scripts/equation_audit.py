@@ -9,7 +9,8 @@ Two experiments:
                (deg_P, deg_x) of the equation it proved, that it declined,
                or that it found the root series inconsistent with the DP
                (the spec then counts as BAD), and the wall time the spec
-               took.  Elimination never runs here.
+               took; `fcde` prints the same proved equations and exits 3
+               on the declined specs.
   arbitration  the 2 x 2 x 2 grid of slot readings on one spec, with and
                without inactive-slot merging: state count, audit violations,
                and the first length where the root series leaves the oracle.

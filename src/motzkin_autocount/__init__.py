@@ -4,7 +4,6 @@ algebraic equation satisfied by the counting generating function."""
 from .algebra import (
     MPoly,
     Series,
-    eliminate_to_root,
     groebner_reduced,
     make_ring,
     poly_text,
@@ -59,7 +58,6 @@ __all__ = [
     "build_peak_valley_system",
     "build_run_system",
     "count_restricted",
-    "eliminate_to_root",
     "enumerate_motzkin",
     "fab",
     "fcde",

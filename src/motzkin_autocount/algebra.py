@@ -1,17 +1,18 @@
 """Exact polynomial and power-series kernel on stdlib integers and rationals.
 
 Provides sparse multivariate polynomials with a fixed variable tuple per
-ring (pure lexicographic order, first name biggest), square-free parts by
-the primitive pseudo-remainder chain, Sylvester resultants via
-fraction-free determinants, exact linear solves block by block (the
-strongly connected blocks of the sparsity pattern in dependency order,
-each by fraction-free Gauss-Jordan), reduced lex Groebner bases, variable
-elimination down to a single bivariate relation, and truncated power-series
-utilities including solving a polynomial equation for its unique series
-root given a disambiguating prefix.
+ring (pure lexicographic order, first name biggest), the content in one
+variable by the primitive pseudo-remainder chain, pseudo-remainders and
+linear substitution, Sylvester resultants via fraction-free determinants,
+exact linear solves block by block (the strongly connected blocks of the
+sparsity pattern in dependency order, each by fraction-free Gauss-Jordan),
+reduced lex Groebner bases, and truncated power-series utilities including
+solving a polynomial equation for its unique series root given a
+disambiguating prefix.
 
 Coefficients, of polynomials and of truncated series alike, are Python ints
-wherever they are integral, which covers all of elimination; a Fraction
+wherever they are integral, which covers every polynomial the symbolic
+route builds; a Fraction
 appears only where a true rational does (Groebner S-polynomials and normal
 forms, rational guesser input).  Each exponent vector is packed into one
 int of SLOT_BITS bits per variable, the first ring variable in the most
@@ -55,7 +56,7 @@ class BranchAmbiguityError(AlgebraError):
 
 
 class EliminationError(AlgebraError):
-    """No relation in the kept variables could be derived."""
+    """A linear system to solve is singular or not square."""
 
 
 def _as_fraction(c) -> Fraction:
@@ -480,29 +481,7 @@ def primitive_part(f: MPoly) -> MPoly:
     })
 
 
-def monomial_content_quotient(f: MPoly, names: Iterable[str] | None = None) -> MPoly:
-    """f divided by the largest monomial dividing every term.
-
-    With `names` given, only those variables are stripped.  Elimination
-    passes restrict stripping to variables whose series value is known to
-    be nonzero (the length variable, and the root where safe), because
-    dividing by a variable whose series vanishes identically would not
-    preserve vanishing on the solution.
-    """
-    if f.is_zero():
-        return f
-    allowed = set(f.ring) if names is None else set(names)
-    low = 0
-    for name in f.ring:
-        if name in allowed:
-            s = _shift(f.ring, name)
-            low |= min(e >> s & _SLOT_MASK for e in f._t) << s
-    if not low:
-        return f
-    return _make(f.ring, {e - low: c for e, c in f._t.items()})
-
-
-# squarefree part (at most two effective variables) ------------------------
+# content and gcd in Z[base][main] -------------------------------------------
 
 
 def _split_content(f: MPoly, main: str, base: str) -> tuple[MPoly, MPoly]:
@@ -547,31 +526,6 @@ def _derivative(f: MPoly, name: str) -> MPoly:
     return _make(f.ring, {
         e - (1 << s): c * (e >> s & _SLOT_MASK) for e, c in f._t.items() if e >> s & _SLOT_MASK
     })
-
-
-def sqfree_part(f: MPoly, main: str = "P", base: str = "x") -> MPoly:
-    """Product of the distinct irreducible factors (primitive form).
-
-    Supports polynomials whose variables lie in {main, base}.  The content
-    c in base and the primitive part p = f/c are reduced apart, each as
-    h/gcd(h, dh/dv) over its own variable v (in characteristic 0 the gcd
-    holds each repeated factor once less), with every gcd taken by the
-    primitive prem chain.
-    """
-    f = primitive_part(f)
-    if f.is_zero() or f.is_constant():
-        return f
-    if not f.variables() <= {main, base}:
-        raise AlgebraError("sqfree_part supports at most the two given variables")
-    c, p = _split_content(f, main, base)
-    out = MPoly.const(f.ring, 1)
-    for h, v, b in ((p, main, base), (c, base, None)):
-        if h.degree(v) > 0:
-            core = exact_div(h, _gcd(h, _derivative(h, v), v, b))
-            if core is None:
-                raise AlgebraError("squarefree division failed")
-            out = out * core
-    return primitive_part(out)
 
 
 # determinants and resultants ----------------------------------------------
@@ -876,7 +830,7 @@ def is_reduced_groebner(G: Sequence[MPoly]) -> bool:
     return True
 
 
-# elimination ---------------------------------------------------------------
+# substitution and pseudo-remainder ------------------------------------------
 
 
 def _substitute_linear(q: MPoly, name: str, lin: MPoly) -> MPoly:
@@ -921,138 +875,6 @@ def prem(f: MPoly, g: MPoly, v: str) -> MPoly:
         _addmul(acc, lc_r, {e + up: -c for e, c in g._t.items()})
         r = primitive_part(_make(r.ring, _finish(acc, k)))
     return r
-
-
-def pair_eliminant(f: MPoly, g: MPoly, v: str, strip: tuple = ()) -> MPoly:
-    """A nonzero member of the ideal of f and g free of v, else zero.
-
-    Runs the primitive pseudo-remainder chain while the divisor b has
-    degree > 1 in v; far cheaper than a Sylvester determinant and
-    sufficient here because extraneous content and factors are stripped
-    downstream.  A linear b = b1*v + b0 ends the chain by substitution:
-    b1**k * a(-b0/b1), k = deg_v a, is the resultant of a and b up to
-    sign, so it lies in the ideal.  It equals the last prem of the chain
-    up to a constant whenever each pseudo-division step lowers deg_v by
-    exactly one, and otherwise differs by a power of b1.  A zero return
-    means the pair shares a factor involving v and eliminates nothing.
-    """
-    a, b = f, g
-    if a.degree(v) < b.degree(v):
-        a, b = b, a
-    while b.degree(v) > 1:
-        a, b = b, prem(a, b, v)
-    if b.degree(v) == 1:
-        b = primitive_part(_substitute_linear(a, v, b))
-    if b.is_zero() or not strip:
-        return b
-    return monomial_content_quotient(b, strip)
-
-
-def _pair_reduce(f: MPoly, g: MPoly, v: str, base: str) -> MPoly:
-    # Sylvester resultants give the tightest eliminants but their cost
-    # explodes with matrix size, so bulky pairs take the remainder chain
-    d1, d2 = f.degree(v), g.degree(v)
-    if d1 + d2 <= 6 and len(f._t) + len(g._t) <= 1200:
-        r = resultant(f, g, v)
-        if r.is_zero():
-            return r
-        return monomial_content_quotient(primitive_part(r), (base,))
-    return pair_eliminant(f, g, v, (base,))
-
-
-def eliminate_to_root(polys: Sequence[MPoly], root: str, base: str = "x") -> MPoly:
-    """A nonzero consequence of the system involving only {root, base}.
-
-    Variables whose elimination is provably benign go first: a variable
-    constrained by a single polynomial projects away freely, and a linear
-    occurrence whose leading coefficient is free of other auxiliary
-    variables substitutes without coupling junk into the rest of the
-    system.  Remaining variables are taken in ring order (later-discovered
-    states first), by substitution where some occurrence is linear and by
-    pairwise elimination otherwise; large pairs use a pseudo-remainder
-    chain instead of a Sylvester determinant.  If the sweep loses the
-    relation, a lex Groebner basis of the original system is scanned for
-    its smallest member in {root, base}.  The result lies in the ideal
-    generated by the system and is returned in primitive form.
-    """
-    if not polys:
-        raise EliminationError("empty system")
-    ring = polys[0].ring
-    aux = [v for v in ring if v not in (root, base)]
-
-    def dedupe(ps: Iterable[MPoly]) -> list[MPoly]:
-        seen = set()
-        out = []
-        for p in ps:
-            if p.is_zero():
-                continue
-            key = tuple(sorted(p._t.items()))
-            if key not in seen:
-                seen.add(key)
-                out.append(p)
-        return out
-
-    def pivot_grade(p: MPoly, v: str) -> tuple:
-        c1 = p.as_coeff_map(v)[1]
-        spread = sum(1 for w in aux if c1.degree(w) > 0)
-        return (not c1.is_constant(), spread, len(c1._t))
-
-    def benign_rank(v: str, work: list[MPoly]) -> tuple | None:
-        with_v = [p for p in work if p.degree(v) > 0]
-        if len(with_v) == 1:
-            return (0, 0)
-        clean = [
-            len(p.as_coeff_map(v)[1]._t)
-            for p in with_v
-            if p.degree(v) == 1 and pivot_grade(p, v)[1] == 0
-        ]
-        if clean:
-            return (1, min(clean))
-        return None
-
-    work = dedupe(primitive_part(p) for p in polys)
-
-    while True:
-        present = [v for v in aux if any(p.degree(v) > 0 for p in work)]
-        if not present:
-            break
-        ranked = [(r, v) for v in present if (r := benign_rank(v, work)) is not None]
-        v = min(ranked)[1] if ranked else present[0]
-        with_v = [p for p in work if p.degree(v) > 0]
-        rest = [p for p in work if p.degree(v) <= 0]
-        if len(with_v) == 1:
-            # a variable constrained by a single polynomial projects away freely
-            work = rest
-            continue
-        with_v.sort(key=lambda p: (p.degree(v), len(p._t), sorted(p._t)))
-        linear = [p for p in with_v if p.degree(v) == 1]
-        new: list[MPoly] = []
-        if linear:
-            pivot = min(linear, key=lambda p: pivot_grade(p, v) + (len(p._t),))
-            for q in with_v:
-                if q is pivot:
-                    continue
-                sub = primitive_part(_substitute_linear(q, v, pivot))
-                new.append(monomial_content_quotient(sub, (base,)))
-        else:
-            for f in with_v:
-                new = [_pair_reduce(f, q, v, base) for q in with_v if q is not f]
-                if any(not r.is_zero() for r in new):
-                    break
-        for p in new:
-            if not p.is_zero() and p.is_constant():
-                raise EliminationError("system is inconsistent")
-        work = dedupe(rest + new)
-
-    keep = {root, base}
-    candidates = [p for p in work if p.variables() <= keep and root in p.variables()]
-    if not candidates:
-        basis = groebner_reduced(list(polys))
-        candidates = [p for p in basis if p.variables() <= keep and root in p.variables()]
-    if not candidates:
-        raise EliminationError("no relation in the kept variables was found")
-    best = min(candidates, key=lambda p: (p.degree(root), len(p._t), sorted(p._t)))
-    return primitive_part(best)
 
 
 # truncated power series -----------------------------------------------------

@@ -4,7 +4,8 @@ Subcommands: seq (DP counting), oracle (brute-force counts or path lists),
 guess (sequence to polynomial), fab / fcde (symbolic derivation), verify
 (cross-route agreement report).  Set-valued flags take literals like
 ``{1,4}`` or ``{2*r+1}``.  Exit codes: 0 success, 1 usage or parse error,
-2 internal inconsistency, 3 nothing found.
+2 internal inconsistency, 3 nothing found (no guess within the bounds, or
+no equation proved by the route).
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from .numeric_dp import DPTable, sequence
 from .oracle import OracleGuardError, list_restricted, oracle_guard, oracle_sequence
 from .stepset import EMPTY, RestrictionSpec, StepSetError, parse_stepset
 from .symbolic import (
+    RELATION_MAX_X,
+    ROUTE_LAST_STAGE,
     build_peak_valley_system,
     build_run_system,
     fab,
@@ -125,6 +128,15 @@ def _poly_payload(F: MPoly) -> dict:
     return {"text": poly_text(F), "terms": poly_json_terms(F)}
 
 
+def _not_found(args) -> int:
+    if args.format == "json":
+        _emit_json({"command": args.command, "spec": _spec_of(args).describe(),
+                    "found": False})
+    else:
+        print("NOT_FOUND")
+    return EXIT_NOT_FOUND
+
+
 def _cmd_seq(args) -> int:
     if args.N < 0:
         raise ValueError("N must be nonnegative")
@@ -174,12 +186,7 @@ def _cmd_guess(args) -> int:
               file=sys.stderr)
         F = None
     if F is None:
-        if args.format == "json":
-            _emit_json({"command": "guess", "spec": spec.describe(),
-                        "found": False})
-        else:
-            print("NOT_FOUND")
-        return EXIT_NOT_FOUND
+        return _not_found(args)
     if args.format == "json":
         _emit_json({"command": "guess", "spec": spec.describe(), "found": True,
                     "polynomial": _poly_payload(F)})
@@ -193,6 +200,10 @@ def _cmd_derive(args) -> int:
         F = fab(args.A, args.B)
     else:
         F = fcde(args.C, args.D, args.E)
+    if F is None:
+        print(f"note: no equation proved within ROUTE_LAST_STAGE = {ROUTE_LAST_STAGE} "
+              f"and RELATION_MAX_X = {RELATION_MAX_X}", file=sys.stderr)
+        return _not_found(args)
     if args.format == "json":
         _emit_json({"command": args.command, "spec": _spec_of(args).describe(),
                     "polynomial": _poly_payload(F)})
@@ -213,19 +224,22 @@ def _cmd_verify(args) -> int:
     agree = oracle_sequence(spec, top) == [table.count(n) for n in range(top + 1)]
     first = "PASS" if agree else "FAIL"
 
-    if pv and runs:
-        second = "SKIP"  # the symbolic engine handles one grammar at a time
-    else:
+    F = None
+    tables = {spec: table}
+    if not (pv and runs):  # the symbolic engine handles one grammar at a time
         if runs:
             system = build_run_system(spec.up_runs, spec.down_runs, spec.flat_runs)
         else:
             system = build_peak_valley_system(spec.peaks, spec.valleys)
-        tables = {spec: table}
         F = solve_system(system, spec, tables)
+    if F is None:  # a mixed spec, or a run spec the route proves nothing for
+        second = "SKIP"
+    else:
         need = max(args.N + 1, F.degree("P") + 10)
         # run systems are tested on the series of their grammar rules, a
         # route apart from the DP that F was guessed and certified on;
-        # peak/valley systems have no rule tuples and keep the DP series
+        # the continued fraction of a peak/valley system reads no series
+        # but a few terms to pick a linear factor, so it keeps the DP series
         if runs:
             values = iterate_series(system, need - 1)
         else:

@@ -1,5 +1,5 @@
 """Symbolic route: grammar decomposition to a polynomial system, then one
-equation F(x, P) = 0, by guess and proof or by elimination.
+proved equation F(x, P) = 0, by one route per grammar.
 
 Two grammars are implemented.  The peak/valley grammar expands states
 (A, B) of forbidden peak and valley heights; each state contributes one
@@ -11,53 +11,53 @@ an up-run or a flat-run) and on the final run (if a down-run or flat-run),
 plus four booleans forcing the initial/final run kind.  Boundary slots
 apply only to the run actually touching that end; for a one-run (all-flat)
 path the initial-slot constraint governs and the final slot is vacuous.
+Both grammars store one rule tuple per state, (case, state, children...).
 
 Each built system admits the counting series of its root state as a
-solution.  solve_system first tries guess_and_prove on run systems: the
-equation is guessed from the reference series and proved on the grammar
-itself, with no eliminant.  Peak/valley systems, and run systems the route
-declines, are eliminated; the minimal vanishing factor of the eliminant is
-then found with the guesser and certified by exact division.
+solution.  solve_system reads the equation of a peak/valley system off
+its continued-fraction chain (continued_fraction), and proves that of a
+run system by guess_and_prove: the equation is guessed from the reference
+series and proved on the grammar itself.  A run system the route declines
+gets no equation (None).
 """
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import reduce
 from graphlib import CycleError, TopologicalSorter
 from itertools import groupby
+from math import isqrt
 from operator import mul
-from typing import Iterable
 
 from .algebra import (
     MPoly,
     _derivative,
+    _split_content,
     _substitute_linear,
     Ring,
     Series,
     canonical_bivariate,
-    eliminate_to_root,
-    exact_div,
     gens,
     linear_solve,
     make_ring,
-    monomial_content_quotient,
     poly_series_eval,
     prem,
     primitive_part,
-    series_vanishes,
-    sqfree_part,
+    series_solve,
 )
 from .guesser import HOLDOUT, GuessConfig, guess_algebraic, guess_linear
 from .numeric_dp import DPTable
 from .oracle import enumerate_motzkin, oracle_sequence
-from .stepset import EMPTY, RestrictionSpec, StepSet
+from .stepset import RestrictionSpec, StepSet
 
 ROOT = "P"
 BASE = "x"
 STATE_CAP = 10_000
+# the rule tags of the run grammar; the peak/valley grammar has the others
+RUN_CASES = ("step", "fork", "split")
 
 
 class SystemBuildError(RuntimeError):
@@ -183,7 +183,7 @@ def build_peak_valley_system(peaks: StepSet, valleys: StepSet) -> EquationSystem
         else:
             p = one_minus_x * V - 1 - x * x * V * W
         polys.append(p)
-        case_of[v] = case
+        case_of[v] = (case, v, w)
     return EquationSystem(ring, polys, ROOT, dict(var_of), case_of, (peaks, valleys))
 
 
@@ -467,13 +467,13 @@ class GrammarSeries:
     constant terms, so one topological order of them serves every order,
     and a cycle among them raises SystemBuildError: the rules would not
     determine the series.  Each split keeps root*right as a running
-    series, so one order costs O(k) per split.  Only run systems carry
-    rule tuples; peak/valley systems raise.
+    series, so one order costs O(k) per split.  A system with rules of the
+    peak/valley grammar raises.
     """
 
     def __init__(self, system: EquationSystem):
         rules = list(system.case_of.values())
-        if not all(isinstance(r, tuple) for r in rules):
+        if not all(r[0] in RUN_CASES for r in rules):
             raise SystemBuildError("series iteration needs a run-grammar system")
         self.root = root = system.root
         self.rules = {r[1]: r for r in rules}
@@ -551,7 +551,7 @@ class GrammarSeries:
 def iterate_series(system: EquationSystem, n: int) -> list:
     """Root coefficients 0..n from the rules alone (GrammarSeries).
 
-    Independent of elimination and of the brute-force state oracle.
+    Independent of the DP and of the brute-force state oracle.
     """
     return GrammarSeries(system).extend(n + 1).coeffs[system.root][: n + 1]
 
@@ -575,24 +575,20 @@ def reference_series(
     return [table.count(k) for k in range(n + 1)]
 
 
-# solving ----------------------------------------------------------------------
+# run systems: guess and prove -------------------------------------------------
 
 
-def _collapse_linear_layer(system: EquationSystem) -> tuple[list[MPoly], MPoly] | None:
+def _collapse_linear_layer(system: EquationSystem) -> tuple[list[MPoly], MPoly]:
     """Solve the step/fork layer exactly and substitute into the splits.
 
     Step and fork equations are linear in the state variables with monomial
     coefficients, so together they form a square linear system over Q[x]
     whose inhomogeneous part is affine in the split variables.  Solving it
     fraction-free and clearing the shared denominator leaves one polynomial
-    per split variable, mentioning only {x, root, split variables}; a much
-    smaller input for the generic sweep.  Returns (polynomials, cleared
-    denominator), or None when the system does not carry step/fork/split
-    rule descriptors.
+    per split variable, mentioning only {x, root, split variables}.
+    Returns (polynomials, cleared denominator) of a run system.
     """
     rules = list(system.case_of.values())
-    if not rules or not all(isinstance(r, tuple) and r and r[0] in ("step", "fork", "split") for r in rules):
-        return None
     ring = system.ring
     g = gens(ring)
     x = g[BASE]
@@ -632,14 +628,9 @@ def _collapse_linear_layer(system: EquationSystem) -> tuple[list[MPoly], MPoly] 
     return out, den
 
 
-# eliminants below this degree product get an exact squarefree reduction;
-# larger ones rely on monomial/denominator stripping plus factor selection
-SQFREE_CAP = 60
-
-
 def _consistency_error() -> RuntimeError:
     return RuntimeError(
-        "eliminated polynomial does not annihilate the reference series; "
+        "the grammar series of the root does not match the reference series; "
         "the generated system is inconsistent"
     )
 
@@ -664,59 +655,12 @@ def _ladder(max_p: int, max_x: int) -> list[tuple[int, int]]:
     return sorted(stages)
 
 
-def _guess_at(stage: tuple[int, int], spec: RestrictionSpec, tables: dict, guesses: dict) -> MPoly | None:
-    """guess_algebraic on the reference series at one ladder stage; each
-    stage is guessed once per ``guesses`` dict."""
-    if stage not in guesses:
-        cfg = GuessConfig(*stage)
-        values = reference_series(spec, cfg.min_terms() + 2 * HOLDOUT - 1, tables)
-        guesses[stage] = guess_algebraic(values, cfg)
-    return guesses[stage]
+def _guess_at(stage: tuple[int, int], spec: RestrictionSpec, tables: dict) -> MPoly | None:
+    """guess_algebraic on the reference series at one ladder stage."""
+    cfg = GuessConfig(*stage)
+    values = reference_series(spec, cfg.min_terms() + 2 * HOLDOUT - 1, tables)
+    return guess_algebraic(values, cfg)
 
-
-def _certified_divisor(
-    q: MPoly, spec: RestrictionSpec, tables: dict, guesses: dict | None = None
-) -> MPoly | None:
-    """Smallest guessed divisor F of q that provably annihilates P.
-
-    Guess bounds climb _ladder up to q's degrees; ``guesses`` holds the
-    stages guessed so far in this derivation.  The proof is the integral
-    domain argument.  q lies in the ideal of the system and the stripping
-    in solve_system keeps its root, so q(x, P) = 0.  F is divided out of q
-    while the division is exact, q = F^m * G, so F(P)^m * G(P) = 0 in
-    Q[[x]]; once G(x, S) has a nonzero coefficient among the truncation-safe
-    orders of the reference series S, G(P) != 0, hence F(P) = 0.  The check
-    that q itself vanishes on S is a self-consistency check of the grammar,
-    not a proof; a failure raises the construction-bug error.
-    """
-    guesses = {} if guesses is None else guesses
-    max_p = q.degree(ROOT)
-    max_x = q.degree(BASE)
-    for stage in _ladder(max_p, max_x):
-        guess = _guess_at(stage, spec, tables, guesses)
-        if guess is None:
-            continue
-        candidate = primitive_part(guess.restrict(q.ring))
-        rest = exact_div(q, candidate)
-        if rest is None:
-            continue
-        dp = candidate.degree(ROOT)
-        dx = candidate.degree(BASE)
-        length = max(2 * dp * dx + 10, max_x + 15, 30)
-        s = Series.from_values(reference_series(spec, length - 1, tables))
-        if not series_vanishes(q, s):
-            raise _consistency_error()
-        if candidate == q:
-            return q
-        while (t := exact_div(rest, candidate)) is not None:
-            rest = t
-        safe = s.order - max(rest.degree(ROOT), 0)
-        if any(poly_series_eval(rest, s).coeffs[:safe]):
-            return canonical_bivariate(candidate, ROOT, BASE)
-    return None
-
-
-# guess and prove --------------------------------------------------------------
 
 # the last guess stage of the route: the answers of every fcde golden, and
 # of 14 of the 30 specs of the equation audit battery, are found by (6, 40)
@@ -784,18 +728,24 @@ def proof_holds(
     holds the constant term of every state series.  The checks:
 
     - F(0, P(0)) = 0 and dF/dP(0, P(0)) != 0;
-    - den(0) != 0, and for every v, D_v(0) != 0 and
-      A_v(0, P(0)) / D_v(0) equals v's constant term;
+    - den(0) != 0;
+    - for every v, with D_v = x^k * D'_v and D'_v(0) != 0, and alpha the
+      series root of F through P(0) to order k + 1: A_v(x, alpha)
+      vanishes below x^k, and its x^k coefficient over D'_v(0) equals v's
+      constant term;
     - every polynomial of ``polys``, with each v := A_v / D_v and the D_v
       cleared, has pseudo-remainder 0 by F in P.
 
     Why they prove F(P) = 0, given that the weight-zero dependencies of
     the rules are acyclic (GrammarSeries raises otherwise).  By the
     implicit function theorem F has one series root alpha with
-    alpha(0) = P(0).  Set v := A_v(x, alpha) / D_v(x), series since
-    D_v(0) != 0, and solve the step/fork layer from these values; its
-    solution is a quotient by den, again series since den(0) != 0.  The
-    zero pseudo-remainders make every split equation hold, so the tuple
+    alpha(0) = P(0).  Set v := A_v(x, alpha) / D_v(x): x^k divides
+    A_v(x, alpha) in Q[[x]] and D'_v is a unit there, so v is a series,
+    and its constant term is the checked one.  Solve the step/fork layer
+    from these values; its solution is a quotient by den, again series
+    since den(0) != 0.  The zero pseudo-remainders make every split
+    equation hold (Q[[x]] is an integral domain and no D_v, nor the
+    leading coefficient of F, is the zero polynomial), so the tuple
     (alpha, the splits, the linear layer) solves the system.  Its constant
     terms are those of the counting series: alpha's and the splits' are
     checked, and the linear layer's follow from them along the acyclic
@@ -806,8 +756,16 @@ def proof_holds(
     dF = _derivative(F, ROOT)
     if _at_origin(F, const) != 0 or _at_origin(dF, const) == 0 or _at_origin(den, const) == 0:
         return False
+    lows = {}  # v -> (k, D'_v(0), A_v)
     for v, rel in relations.items():
-        if _at_origin(rel.as_coeff_map(v)[1], const) == 0 or _at_origin(rel, const) != 0:
+        D = rel.as_coeff_map(v)[1]
+        by_x = D.as_coeff_map(BASE)
+        k = min(by_x)
+        lows[v] = k, _at_origin(by_x[k], const), D * MPoly.var(rel.ring, v) - rel
+    alpha = series_solve(F, [const[ROOT]], max((k for k, _, _ in lows.values()), default=0) + 1)
+    for v, (k, d0, A) in lows.items():
+        value = poly_series_eval(A, alpha).coeffs
+        if any(value[:k]) or value[k] != d0 * const[v]:
             return False
     d = F.degree(ROOT)
     F_big = F.restrict(polys[0].ring)
@@ -829,7 +787,6 @@ def guess_and_prove(
     system: EquationSystem,
     spec: RestrictionSpec,
     tables: dict[RestrictionSpec, DPTable] | None = None,
-    guesses: dict | None = None,
 ) -> MPoly | None:
     """The equation of a run system by guess and proof, or None.
 
@@ -839,20 +796,19 @@ def guess_and_prove(
     and proof_holds certifies F on the grammar itself, without an
     eliminant.  The root's grammar series must agree with the reference
     series on their common prefix, else the construction-bug error is
-    raised.  None means the route declines (a system GrammarSeries
-    refuses, i.e. peak/valley or a weight-zero cycle; no guess; no
-    relation; or a failed check), and the caller eliminates.
-    ``tables`` is shared with reference_series and ``guesses`` with
-    _certified_divisor, so no stage is guessed twice.
+    raised.  None means the route declines: a system GrammarSeries
+    refuses (peak/valley rules or a weight-zero cycle), no guess up to
+    ROUTE_LAST_STAGE, no relation up to RELATION_MAX_X, or a failed check.
+    Each stage is guessed at most once.  ``tables`` is shared with
+    reference_series.
     """
     try:
         engine = GrammarSeries(system)
     except SystemBuildError:
         return None
     tables = {} if tables is None else tables
-    guesses = {} if guesses is None else guesses
     for stage in _ladder(*ROUTE_LAST_STAGE):
-        F = _guess_at(stage, spec, tables, guesses)
+        F = _guess_at(stage, spec, tables)
         if F is not None:
             break
     else:
@@ -872,74 +828,129 @@ def guess_and_prove(
     return canonical_bivariate(F, ROOT, BASE)
 
 
-def raw_eliminant(system: EquationSystem) -> tuple[MPoly, MPoly | None]:
-    """The system's eliminant in (x, P) before any stripping or
-    certification, and the denominator the linear collapse cleared (None
-    if the system has no step/fork layer to collapse)."""
-    collapsed = _collapse_linear_layer(system)
-    if collapsed is None:
-        polys, den = list(system.polys), None
-    else:
-        polys, den = collapsed
-    return eliminate_to_root(polys, system.root, BASE), den
+# peak/valley systems: the continued-fraction chain ----------------------------
+
+
+def _times(m: tuple, n: tuple) -> tuple:
+    """The 2x2 product m*n: the map W -> m(n(W)) of two linear-fractional maps."""
+    return tuple(tuple(m[i][0] * n[0][j] + m[i][1] * n[1][j] for j in (0, 1)) for i in (0, 1))
+
+
+def _square_root(f: MPoly) -> MPoly | None:
+    """s in Z[x] with s*s = f, for f in Z[x] on the ring (P, x); or None.
+
+    The coefficients of s are forced from the top down, so a coefficient
+    that is no integer, or a failed final check, shows that f is no square
+    in Z[x].  Nor is it one in Q[x]: if f = (r*s)^2 with s primitive, then
+    r^2 is the content of f, an integer, so r is one.
+    """
+    if f.is_zero():
+        return f
+    cm = {x: c for (_, x), c in f.terms.items()}
+    top = max(cm)
+    if top % 2 or cm[top] < 0 or isqrt(cm[top]) ** 2 != cm[top]:
+        return None
+    s = [isqrt(cm[top])]  # coefficients of x^(top/2), x^(top/2 - 1), ...
+    for i in range(1, top // 2 + 1):
+        r = cm.get(top - i, 0) - sum(s[j] * s[i - j] for j in range(1, i))
+        if r % (2 * s[0]):
+            return None
+        s.append(r // (2 * s[0]))
+    root = MPoly(f.ring, {(0, top // 2 - i): c for i, c in enumerate(s)})
+    return root if root * root == f else None
+
+
+def continued_fraction(
+    system: EquationSystem,
+    spec: RestrictionSpec,
+    tables: dict[RestrictionSpec, DPTable] | None = None,
+) -> MPoly:
+    """The minimal equation of a peak/valley system, read off its chain.
+
+    Each rule of build_peak_valley_system is V = (a*W + b) / (c*W + d) in
+    its one child W:
+
+    - first_return: [[0, 1], [-x^2, 1-x]];
+    - single_arch: [[x^2, 1-x], [0, (1-x)^2]];
+    - flat_carve: [[1-x, -1], [0, 1-x]].
+
+    Following the children from the root gives a tail of states and then a
+    cycle, so with T and C the matrix products along them, P = T(w) and
+    w = C(w) for the series w of the cycle's first state (Flajolet's
+    continued fractions for height-restricted paths).
+
+    Why the equation is right.  The counting series satisfy every rule in
+    Q[[x]], and every denominator c*W + d has constant term 1, so it is a
+    unit there; a product of matrices composes the maps, and its
+    denominator at the series is the product of the factors' denominators,
+    again a unit.  So w*(c*w + d) = a*w + b for C = [[a, b], [c, d]],
+    that is c*w^2 + (d-a)*w - b = 0, and w*(a' - c'*P) = d'*P - b' for
+    T = [[a', b'], [c', d']].  Multiplying the quadratic by (a' - c'*P)^2
+    and substituting gives G(x, P) = 0, with no division.  G is not the
+    zero polynomial: T is invertible (every rule matrix has a nonzero
+    determinant), and C is no scalar matrix.  The cycle holds a
+    first_return or single_arch (the child of a flat_carve has 0 as no
+    forbidden peak); those two maps change V by x^2 times a series times
+    the change of W, and flat_carve passes the change on, so C(0) - C(1)
+    is a multiple of x^2, where a scalar C would give -1.  The content of
+    G in x is a nonzero polynomial, so its cofactor H has H(P) = 0 in the
+    integral domain Q[[x]]; H has content 1 in x and P-degree 1 or 2 (no
+    nonzero polynomial in x alone vanishes).  A quadratic
+    a*P^2 + b*P + c whose discriminant is no square in Q[x] is
+    irreducible, hence minimal.  Else the discriminant is s^2 with s in
+    Z[x] (_square_root), and 4a*H = lo*hi for lo, hi = 2a*P + b -+ s, so
+    lo(P) = 0 or hi(P) = 0.  The reference series S of P through order
+    deg s decides which: every such order of a polynomial linear in P is
+    exact, so if hi(S) has a nonzero coefficient, hi(P) != 0 and
+    lo(P) = 0; if not, lo(S) differs from it by 2s, whose lowest nonzero
+    order is at most deg s, so lo(P) != 0 and hi(P) = 0 (for s = 0 the
+    two are one factor).  The chosen factor, with its content in x split
+    off, is the equation.
+    """
+    ring = make_ring(ROOT, BASE)
+    P, x = MPoly.var(ring, ROOT), MPoly.var(ring, BASE)
+    one, zero = MPoly.const(ring, 1), MPoly.zero(ring)
+    y = one - x
+    maps = {
+        "first_return": ((zero, one), (-x * x, y)),
+        "single_arch": ((x * x, y), (zero, y * y)),
+        "flat_carve": ((y, -one), (zero, y)),
+    }
+    chain = [system.root]
+    while (w := system.case_of[chain[-1]][2]) not in chain:
+        chain.append(w)
+    start = chain.index(w)
+    identity = ((one, zero), (zero, one))
+    (a, b), (c, d) = reduce(_times, (maps[system.case_of[v][0]] for v in chain[:start]), identity)
+    (A, B), (C, D) = reduce(_times, (maps[system.case_of[v][0]] for v in chain[start:]), identity)
+    u, t = d * P - b, a - c * P  # w * t = u
+    H = _split_content(C * u * u + (D - A) * u * t - B * t * t, ROOT, BASE)[1]
+    if H.degree(ROOT) == 2:
+        q2, q1, q0 = (H.as_coeff_map(ROOT).get(i, zero) for i in (2, 1, 0))
+        s = _square_root(q1 * q1 - 4 * q2 * q0)
+        if s is not None:
+            lo, hi = 2 * q2 * P + q1 - s, 2 * q2 * P + q1 + s
+            values = Series.from_values(reference_series(spec, s.degree(BASE), tables))
+            H = lo if any(poly_series_eval(hi, values).coeffs) else hi
+            H = _split_content(H, ROOT, BASE)[1]
+    return canonical_bivariate(H, ROOT, BASE)
+
+
+# solving ----------------------------------------------------------------------
 
 
 def solve_system(
     system: EquationSystem,
     spec: RestrictionSpec,
     tables: dict[RestrictionSpec, DPTable] | None = None,
-) -> MPoly:
-    """The equation of the system: proved by guess_and_prove where that
-    route succeeds, else eliminated to (x, P), and the minimal certified
-    factor of the eliminant returned (the full eliminant if no proper
-    divisor is certified).  ``tables`` is shared with reference_series."""
-    tables = {} if tables is None else tables
-    guesses: dict = {}
-    proved = guess_and_prove(system, spec, tables, guesses)
-    if proved is not None:
-        return proved
-    q, den = raw_eliminant(system)
-    q = canonical_bivariate(q, ROOT, BASE)
-    # denominator clearing and resultants leave predictable extraneous
-    # factors; strip them before sizing the certificate, and let factor
-    # selection remove whatever is left (integer content first, so the
-    # divisions below run on small coefficients)
-    q = primitive_part(monomial_content_quotient(q, (BASE,)))
-    if den is not None and not den.is_constant():
-        d = den.restrict(q.ring)
-        # the cleared denominator can enter to a high power; peel it with
-        # squared powers so the pass count stays logarithmic
-        powers = [d]
-        while powers[-1].degree(BASE) * 2 <= q.degree(BASE):
-            powers.append(powers[-1] * powers[-1])
-        for d_pow in reversed(powers):
-            while d_pow.degree(BASE) <= q.degree(BASE):
-                t = exact_div(q, d_pow)
-                if t is None:
-                    break
-                q = primitive_part(monomial_content_quotient(t, (BASE,)))
-    deg_p = q.degree(ROOT)
-    deg_x = q.degree(BASE)
-    if deg_p * deg_x <= SQFREE_CAP:
-        q = canonical_bivariate(sqfree_part(q), ROOT, BASE)
-        deg_p = q.degree(ROOT)
-        deg_x = q.degree(BASE)
-    if deg_p > 1:
-        found = _certified_divisor(q, spec, tables, guesses)
-        if found is not None:
-            return found
-        print(
-            "warning: no proper certified divisor found; result may be non-minimal",
-            file=sys.stderr,
-        )
-    # q(P) = 0 because q lies in the ideal of the system; this check of a
-    # heuristic length tests the grammar's self-consistency, it proves nothing
-    length = max(2 * deg_p * deg_x + 10, 30)
-    values = reference_series(spec, length - 1, tables)
-    s = Series.from_values(values)
-    if not series_vanishes(q, s):
-        raise _consistency_error()
-    return q
+) -> MPoly | None:
+    """The proved equation of the system: continued_fraction for a
+    peak/valley system, which always answers, and guess_and_prove for a
+    run system, which may decline (None).  ``tables`` is shared with
+    reference_series."""
+    if system.case_of[system.root][0] in RUN_CASES:
+        return guess_and_prove(system, spec, tables)
+    return continued_fraction(system, spec, tables)
 
 
 def fab(peaks: StepSet, valleys: StepSet) -> MPoly:
@@ -949,8 +960,9 @@ def fab(peaks: StepSet, valleys: StepSet) -> MPoly:
     return solve_system(system, spec)
 
 
-def fcde(up_runs: StepSet, down_runs: StepSet, flat_runs: StepSet) -> MPoly:
-    """Equation for paths avoiding the given run lengths."""
+def fcde(up_runs: StepSet, down_runs: StepSet, flat_runs: StepSet) -> MPoly | None:
+    """Equation for paths avoiding the given run lengths, or None when
+    guess_and_prove declines."""
     system = build_run_system(up_runs, down_runs, flat_runs)
     spec = RestrictionSpec(
         up_runs=up_runs, down_runs=down_runs, flat_runs=flat_runs

@@ -1,4 +1,4 @@
-"""Exact polynomial kernel: arithmetic, elimination, series operations."""
+"""Exact polynomial kernel: arithmetic, gcds, linear algebra, series operations."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -15,19 +15,18 @@ from motzkin_autocount.algebra import (
     MPoly,
     Series,
     _gauss_jordan,
-    canonical_bivariate,
+    _gcd,
+    _split_content,
+    _substitute_linear,
     content,
     det_bareiss,
-    eliminate_to_root,
     exact_div,
     gens,
     groebner_reduced,
     is_reduced_groebner,
     linear_solve,
     make_ring,
-    monomial_content_quotient,
     normal_form,
-    pair_eliminant,
     poly_json_terms,
     poly_series_eval,
     poly_text,
@@ -37,7 +36,6 @@ from motzkin_autocount.algebra import (
     series_solve,
     series_vanishes,
     spoly,
-    sqfree_part,
 )
 
 PX = make_ring("P", "x")
@@ -250,7 +248,7 @@ def test_term_view_and_order_match_exponent_tuples(case):
     F, G = MPoly(ring, f), MPoly(ring, g)
     assert F.terms == f and len(F.terms) == len(f)
     assert sorted(F.terms) == sorted(f)
-    # elimination breaks ties on sorted(p._t): packed keys must order as tuples
+    # lex order on packed keys (sorted(p._t)) must be order on tuples
     keys, tuples = list(F._t), list(F.terms)
     assert sorted(range(len(keys)), key=keys.__getitem__) == sorted(
         range(len(tuples)), key=tuples.__getitem__)
@@ -379,23 +377,6 @@ def test_content_and_primitive_part():
     assert content(P * Fraction(2, 3) + ONE_PX * Fraction(4, 9)) == Fraction(2, 9)
 
 
-def test_monomial_content_quotient():
-    f = X * X * P + X * X * X
-    assert monomial_content_quotient(f) == P + X
-    assert monomial_content_quotient(f, ("x",)) == P + X
-    assert monomial_content_quotient(f, ("P",)) == f
-    assert monomial_content_quotient(X * P * P + X * P, ("x",)) == P * P + P
-
-
-def test_sqfree_part_drops_repeated_factors():
-    f = (P - X) * (P - X) * (P + 1)
-    got = sqfree_part(f)
-    assert got == primitive_part((P - X) * (P + 1))
-    # content in x and primitive part in P are reduced apart
-    g = (X * X - 1) ** 2 * X ** 3 * (P + 1) ** 2 * 6
-    assert sqfree_part(g) == (X * X - 1) * X * (P + 1)
-
-
 def small_factor(names):
     # integer polynomials in the given variables, degree <= 2 in each
     exps = st.tuples(*(st.integers(0, 2) if v in names else st.just(0) for v in PX))
@@ -407,16 +388,17 @@ def small_factor(names):
 @given(st.sampled_from([("P", "x"), ("P",), ("x",)]).flatmap(
     lambda names: st.tuples(*(small_factor(names) for _ in range(3)))))
 @example((2 * P + 4, X * X - 1, 3 * X))
-def test_sqfree_part_ignores_multiplicity(factors):
+def test_gcd_and_content_in_x(factors):
     # both univariate cases (no x, no P) are drawn as well as the bivariate one
     a, b, c = factors
-    f = a * b * b * c * c
-    want = sqfree_part(a * b * c)
-    assert sqfree_part(f) == want
-    assert sqfree_part(f * f) == want
-    # want holds every factor of f, which repeats none more than 2 + 4 + 4 times
-    assert exact_div(primitive_part(f), want) is not None
-    assert exact_div(want ** 10, primitive_part(f)) is not None
+    f, g = a * b, a * c * c
+    h = _gcd(f, g, "P", "x")
+    assert exact_div(f, h) is not None and exact_div(g, h) is not None
+    assert exact_div(h, primitive_part(a)) is not None
+    # the content in x times the cofactor is f, and the cofactor has none left
+    cont, rest = _split_content(f, "P", "x")
+    assert cont.degree("P") <= 0 and cont * rest == f
+    assert _split_content(rest, "P", "x")[0].is_constant()
 
 
 # determinants and linear systems ------------------------------------------
@@ -538,7 +520,7 @@ def test_resultant_degenerate_degree_raises():
         resultant(X + 1, P - 1, "P")
 
 
-# pseudo-remainder chain -----------------------------------------------------
+# pseudo-remainders and linear substitution ---------------------------------
 
 
 def test_prem_reduces_degree():
@@ -546,14 +528,6 @@ def test_prem_reduces_degree():
     g = X * P * P - 1
     r = prem(f, g, "P")
     assert r.degree("P") < g.degree("P")
-
-
-def test_pair_eliminant_detects_common_roots():
-    f = (P - X) * (X * P + 1)
-    g = (P - X) * (P + 3)
-    assert pair_eliminant(f, g, "P").is_zero()
-    h = pair_eliminant(P * P - X, P - 1, "P")
-    assert h.degree("P") == 0 and not h.is_zero()
 
 
 VPX = make_ring("v", "P", "x")
@@ -565,15 +539,15 @@ NONZERO_FREE_OF_V = FREE_OF_V.filter(lambda p: not p.is_zero())
 @settings(max_examples=60, deadline=None)
 @given(rand_polys(VPX).filter(lambda p: p.degree("v") > 0), FREE_OF_V, NONZERO_FREE_OF_V,
        NONZERO_FREE_OF_V, FREE_OF_V, st.booleans())
-def test_pair_eliminant_with_a_linear_divisor_is_the_resultant(f, g0, g1, c, l0, shared):
+def test_linear_substitution_is_the_resultant(f, g0, g1, c, l0, shared):
     g = g1 * V + g0
-    assert pair_eliminant(f, g, "v") == primitive_part(resultant(f, g, "v"))
+    assert primitive_part(_substitute_linear(f, "v", g)) == primitive_part(resultant(f, g, "v"))
     # v + l0 is monic in v, so f shares a factor in v with c*(v + l0)
     # exactly when v + l0 divides f
     lin = V + l0
     if shared:
         f = f * lin
-    zero = pair_eliminant(f, c * lin, "v").is_zero()
+    zero = _substitute_linear(f, "v", c * lin).is_zero()
     assert zero == (exact_div(f, lin) is not None)
 
 
@@ -609,36 +583,6 @@ def test_normal_form_is_zero_exactly_on_ideal_members():
     inside = MOTZKIN_F * (P + X * X - 3)
     assert normal_form(inside, basis).is_zero()
     assert not normal_form(inside + 1, basis).is_zero()
-
-
-# elimination to the root variable -------------------------------------------
-
-
-def test_eliminate_substitutes_linear_chains():
-    ring = make_ring("v1", "P", "x")
-    g = gens(ring)
-    out = eliminate_to_root([g["v1"] - g["x"], g["P"] - g["v1"]], "P")
-    assert canonical_bivariate(out) == primitive_part(P - X)
-
-
-def test_eliminate_recovers_motzkin_from_split_form():
-    # v carries the square; eliminating it must give back the quadratic
-    ring = make_ring("v1", "P", "x")
-    g = gens(ring)
-    sys_polys = [
-        g["v1"] - g["P"] * g["P"],
-        g["x"] * g["x"] * g["v1"] + (g["x"] - 1) * g["P"] + 1,
-    ]
-    out = eliminate_to_root(sys_polys, "P")
-    F = canonical_bivariate(out)
-    assert exact_div(F, MOTZKIN_F) is not None or F == MOTZKIN_F
-
-
-def test_eliminate_needs_the_root_present():
-    ring = make_ring("v1", "P", "x")
-    g = gens(ring)
-    with pytest.raises(EliminationError):
-        eliminate_to_root([g["v1"] - g["x"]], "P")
 
 
 # series ---------------------------------------------------------------------

@@ -206,6 +206,41 @@ def test_fcde_progression_sets(run_cli, fcde_goldens):
     assert out == want + "\n"
 
 
+def test_fab_prints_minimal_linear_equations(run_cli):
+    rc, out, err = run_cli("fab", "--A", "{r+2}", "--B", "{r+2}")
+    assert (rc, out, err) == (0, "(2*x-1)*P - x + 1\n", "")
+    rc, out, err = run_cli("fab", "--A", "{r}", "--B", "{r}")
+    assert (rc, out, err) == (0, "P\n", "")
+    rc, out, _ = run_cli("fab", "--A", "{r}", "--B", "{r}", "--format", "json")
+    payload = json.loads(out)
+    assert rc == 0 and sorted(payload) == ["command", "polynomial", "schema", "spec"]
+    assert payload["polynomial"] == {"text": "P", "terms": [
+        {"coeff": "1", "exponents": {"P": 1}}]}
+
+
+# no guess up to ROUTE_LAST_STAGE: the route declines in about a second
+UNPROVED = ("--C", "{3}", "--D", "{2}", "--E", "{2*r+1}")
+
+
+def test_fcde_exits_3_when_nothing_is_proved(run_cli):
+    rc, out, err = run_cli("fcde", *UNPROVED)
+    assert (rc, out) == (3, "NOT_FOUND\n")
+    assert len(err.splitlines()) == 1
+    assert "ROUTE_LAST_STAGE" in err and "RELATION_MAX_X" in err
+    rc, out, err = run_cli("fcde", *UNPROVED, "--format", "json")
+    assert rc == 3 and len(err.splitlines()) == 1
+    payload = json.loads(out)
+    assert payload["schema"] == "motzkin-autocount/1"
+    assert (payload["command"], payload["found"]) == ("fcde", False)
+    assert payload["spec"]["up_runs"] == "{3}"
+    assert "polynomial" not in payload
+
+
+def test_verify_skips_the_symbolic_check_when_nothing_is_proved(run_cli):
+    rc, out, _ = run_cli("verify", *UNPROVED, "--N", "10")
+    assert (rc, out) == (0, "PASS,SKIP\n")
+
+
 def test_verify_unrestricted(run_cli):
     rc, out, _ = run_cli("verify", "--N", "10")
     assert (rc, out) == (0, "PASS,PASS\n")

@@ -1,8 +1,8 @@
 """Symbolic grammar expansion, reading arbitration, and equation solving."""
 
-import hashlib
 import random
 from itertools import product
+from math import isqrt
 
 import pytest
 
@@ -22,6 +22,7 @@ from motzkin_autocount import (
 )
 from motzkin_autocount.algebra import (
     MPoly,
+    _split_content,
     content,
     gens,
     make_ring,
@@ -49,6 +50,7 @@ ONE = parse_stepset("{1}")
 TWO = parse_stepset("{2}")
 ODD = parse_stepset("{2*r+1}")
 EVEN_POS = parse_stepset("{2*r+2}")
+R2 = parse_stepset("{r+2}")
 
 
 def run_spec(C, D, E):
@@ -66,7 +68,7 @@ def test_unrestricted_system_is_the_motzkin_equation():
     assert system.polys[0].terms == {
         (1, 0): 1, (1, 1): -1, (0, 0): -1, (2, 2): -1,
     }
-    assert system.case_of == {ROOT: "first_return"}
+    assert system.case_of == {ROOT: ("first_return", ROOT, ROOT)}
     assert audit_system(system) == []
 
 
@@ -75,7 +77,7 @@ def test_odd_height_system_is_a_three_state_cycle():
     assert system.size() == 3
     even = parse_stepset("{2*r}")
     cases = {
-        str(system.case_of[name]): state
+        system.case_of[name][0]: state
         for state, name in system.var_of.items()
     }
     assert cases["first_return"] == PVState(ODD, ODD)
@@ -264,40 +266,6 @@ def test_solve_output_is_primitive_with_positive_lead(fcde_goldens):
         assert content(F) == 1
 
 
-# (deg_P, deg_x, terms) of eliminate_to_root's result, before any stripping
-# or certification, and a sha256 of its sorted terms; a change of elimination
-# branch shows in the sizes first, any other change of a term in the digest
-RAW_ELIMINANTS = [
-    ("fab", ("{1,4}", "{1,3}"), (2, 16, 48),
-     "fdbd6ba50531fc8a42aa133d5c48b081b2651602a2cb08bc1e1e2dae16a35a5f"),
-    ("fab", ("{2*r+1}", "{2*r+1}"), (2, 5, 11),
-     "ec5a8797cd7e3da346f31759d5444e750ce638b1bde64767ca69fc4685614f09"),
-    ("fcde", ("{}", "{1}", "{1}"), (7, 85, 477),
-     "1af372206d9e0c8d2e435376467cfe8dc3eb1dc7062a1bd9a7f194006031b0fb"),
-    ("fcde", ("{2*r+1}", "{2*r+1}", "{2*r+1}"), (19, 408, 2327),
-     "c5c0834797f86625781e1b119f76bf43a33941890619e76cbf246e01cacfce22"),
-    ("fcde", ("{2*r+1}", "{}", "{2*r+2}"), (5, 56, 296),
-     "6dc8a635f9c30f838724240ced8d8eb541fba4179f0a978e4761e2302b75b9c5"),
-    ("fcde", ("{1,2,3}", "{}", "{}"), (17, 204, 1900),
-     "5ca044d39e984b9ad6300958f703de104f77bfa2cd0ff40e9bd861331da20383"),
-]
-
-
-def test_raw_eliminants_are_pinned():
-    sizes = []
-    for kind, literals, want, digest in RAW_ELIMINANTS:
-        sets = [parse_stepset(t) for t in literals]
-        system = (build_peak_valley_system if kind == "fab" else build_run_system)(*sets)
-        q, _ = symbolic.raw_eliminant(system)
-        sizes.append((q.degree(ROOT), q.degree(BASE), len(q.terms)))
-        assert sizes[-1] == want, (kind, literals)
-        terms = repr(sorted(q.terms.items())).encode()
-        assert hashlib.sha256(terms).hexdigest() == digest, (kind, literals)
-    # the first five are the derive goldens of the benchmark
-    assert sum(p for p, _, _ in sizes[:5]) == 35
-    assert sum(x for _, x, _ in sizes[:5]) == 570
-
-
 # the battery pool of scripts/equation_audit.py
 AUDIT_POOL = ["{}", "{1}", "{2}", "{3}", "{1,2}", "{1,3}", "{2*r+1}", "{2*r+2}", "{r+2}"]
 
@@ -320,19 +288,6 @@ def test_collapse_by_blocks_matches_the_whole_matrix(monkeypatch):
         assert den in (whole_den, -whole_den)
 
 
-def test_the_fallback_certificate_needs_a_nonzero_cofactor(monkeypatch):
-    ring = make_ring(ROOT, BASE)
-    g = gens(ring)
-    M = g[BASE] ** 2 * g[ROOT] ** 2 + (g[BASE] - 1) * g[ROOT] + 1
-    W = g[ROOT] - 1  # divides q, but the Motzkin series is not 1
-    # q = M * W vanishes on the series; the cofactor of W is M, which
-    # vanishes too, so nothing shows W(P) = 0
-    monkeypatch.setattr(symbolic, "guess_algebraic", lambda values, cfg: W)
-    assert symbolic._certified_divisor(M * W, RestrictionSpec(), {}) is None
-    monkeypatch.setattr(symbolic, "guess_algebraic", lambda values, cfg: M)
-    assert symbolic._certified_divisor(M * W, RestrictionSpec(), {}) == M
-
-
 def test_one_dp_table_per_spec_in_a_derivation(monkeypatch):
     built = []
 
@@ -342,9 +297,15 @@ def test_one_dp_table_per_spec_in_a_derivation(monkeypatch):
             super().__init__(spec)
 
     monkeypatch.setattr(symbolic, "DPTable", CountingTable)
+    # the chain reads DP terms only to pick a linear factor of a quadratic
     F = fab(ODD, ODD)
     assert poly_text(F) == "x^4*P^2 + (x^3-3*x^2+3*x-1)*P + x^2 - 2*x + 1"
-    assert built == [RestrictionSpec(peaks=ODD, valleys=ODD)]
+    assert built == []
+    assert poly_text(fab(R2, R2)) == "(2*x-1)*P - x + 1"
+    assert built == [RestrictionSpec(peaks=R2, valleys=R2)]
+    built.clear()
+    assert poly_text(fcde(ODD, ODD, ODD)) == "x^4*P^2 + (x^2-1)*P + 1"
+    assert built == [run_spec(ODD, ODD, ODD)]
 
 
 def test_reference_series_grows_the_table_it_is_given():
@@ -526,13 +487,6 @@ def test_route_proves_the_fcde_goldens(fcde_goldens):
         assert poly_text(F) == want, literals
 
 
-def test_elimination_prints_the_same_when_the_route_declines(monkeypatch, fcde_goldens):
-    monkeypatch.setattr(symbolic, "guess_and_prove", lambda *args: None)
-    for name in ("all_odd", "down_flat_1"):
-        _, _, want, literals = fcde_goldens[name]
-        assert poly_text(fcde(*[parse_stepset(t) for t in literals])) == want
-
-
 def test_the_route_refuses_an_inconsistent_grammar():
     # the root series of this wrong reading leaves the DP at order 8, inside
     # the prefix the guess of F was made from
@@ -561,8 +515,8 @@ def test_no_stage_is_guessed_twice(monkeypatch):
 
     monkeypatch.setattr(symbolic, "guess_algebraic", counting)
     monkeypatch.setattr(symbolic, "proof_holds", lambda *args: False)
-    F = fcde(ODD, ODD, ODD)
-    assert poly_text(F) == "x^4*P^2 + (x^2-1)*P + 1"
+    # a failed proof declines; nothing else is tried
+    assert fcde(ODD, ODD, ODD) is None
     assert stages and len(stages) == len(set(stages))
 
 
@@ -598,6 +552,13 @@ def test_the_proof_refuses_mutants():
     # a linear layer whose denominator vanishes at x = 0
     x = gens(den.ring)[BASE]
     assert not proof_holds(polys, den * x, F, relations, const)
+    # where D_v = x^k * D'_v with k > 0, a constant term of v that is not the
+    # x^k coefficient of A_v(x, alpha) over D'_v(0)
+    polys, den, F, relations, const = _proof_inputs(("{2*r+2}", "{2*r+2}", "{r+2}"))
+    assert proof_holds(polys, den, F, relations, const)
+    v = next(v for v, rel in relations.items()
+             if 0 not in rel.as_coeff_map(v)[1].as_coeff_map(BASE))
+    assert not proof_holds(polys, den, F, relations, {**const, v: const[v] + 1})
 
 
 def test_the_proof_pins_the_series_root_at_the_origin():
@@ -624,3 +585,118 @@ def test_the_proof_pins_the_series_root_at_the_origin():
     polys = [F.restrict(big), h[BASE] * h["v"] - h[ROOT]]
     rel = h[BASE] ** 2 * h["v"] - h[BASE] * h[ROOT]
     assert not proof_holds(polys, one, F, {"v": rel}, const)
+
+
+# the equations of specs where some split relation has D_v(0) = 0, which
+# the route proves since proof_holds splits x^k off D_v
+ZERO_AT_ORIGIN = {
+    ("{2*r+1}", "{2*r+2}", "{1,2}"): (
+        "(x^15-3*x^14+3*x^13-x^12)*P^6 + (x^17-2*x^16+3*x^14-3*x^13+x^12"
+        "-x^11+3*x^10-3*x^9+x^8)*P^5 + (x^15-x^14-x^11+3*x^10-3*x^9"
+        "+x^8)*P^4 + (3*x^15-3*x^14-7*x^13+12*x^12-2*x^11-10*x^10+7*x^9+x^8"
+        "-6*x^6+6*x^5-2*x^4)*P^3 + (-x^13+x^11-x^10+x^9-2*x^8+3*x^6-3*x^5"
+        "+x^4)*P^2 + (x^13-3*x^11+3*x^10+3*x^9-6*x^8+x^7+4*x^6-x^5-3*x^4"
+        "+x^3+3*x^2-3*x+1)*P - x^9 + 3*x^7 - 3*x^6 - 3*x^5 + 6*x^4 - 2*x^3 "
+        "- 3*x^2 + 3*x - 1"
+    ),
+    ("{2*r+2}", "{2*r+2}", "{r+2}"): (
+        "x^8*P^4 + (-x^9+x^8+x^7-x^6-x^5-x^4)*P^3 + (x^10+2*x^9+x^8-4*x^7"
+        "-7*x^6-2*x^5+3*x^4+4*x^3+2*x^2)*P^2 + (-x^7-x^6+2*x^5+2*x^4-2*x^3"
+        "-4*x^2-3*x-1)*P + x^4 + 4*x^3 + 6*x^2 + 4*x + 1"
+    ),
+    ("{2*r+2}", "{2*r+2}", "{3}"): (
+        "(x^12-4*x^11+6*x^10-4*x^9+x^8)*P^4 + (2*x^16-7*x^15+8*x^14+x^13"
+        "-10*x^12+9*x^11-7*x^10+11*x^9-12*x^8+7*x^7-4*x^6+3*x^5-x^4)*P^3 "
+        "+ (x^22-4*x^21+4*x^20+6*x^19-14*x^18+4*x^17+3*x^16+14*x^15-19*x^14"
+        "-6*x^13+16*x^12-4*x^11+10*x^10-22*x^9+16*x^8-12*x^7+14*x^6-8*x^5"
+        "+3*x^4-4*x^3+2*x^2)*P^2 + (2*x^18-7*x^17+8*x^16+x^15-6*x^14-x^13"
+        "-x^12+19*x^11-22*x^10+10*x^9-12*x^8+21*x^7-13*x^6+5*x^5-7*x^4"
+        "+6*x^3-x^2+x-1)*P + x^16 - 4*x^15 + 6*x^14 - 4*x^13 + 5*x^12 "
+        "- 12*x^11 + 12*x^10 - 4*x^9 + 6*x^8 - 12*x^7 + 6*x^6 + 4*x^4 "
+        "- 4*x^3 + 1"
+    ),
+    ("{2*r+2}", "{2*r+2}", "{2*r+2}"): (
+        "(x^16-4*x^14+6*x^12-4*x^10+x^8)*P^4 + (-x^16+x^15+3*x^14-4*x^13"
+        "-x^12+7*x^11-2*x^10-7*x^9-x^8+4*x^7+3*x^6-x^5-x^4)*P^3 + (2*x^14"
+        "-4*x^13-5*x^12+14*x^11-x^10-18*x^9+8*x^8+18*x^7-x^6-14*x^5-5*x^4"
+        "+4*x^3+2*x^2)*P^2 + (-x^12+3*x^11-7*x^9+6*x^8+3*x^7-8*x^6-3*x^5"
+        "+6*x^4+7*x^3-3*x-1)*P + x^8 - 4*x^7 + 2*x^6 + 8*x^5 - 5*x^4 "
+        "- 8*x^3 + 2*x^2 + 4*x + 1"
+    ),
+    ("{2*r+1}", "{2*r+2}", "{2*r+1}"): (
+        "(x^18-3*x^16+3*x^14-x^12)*P^6 + (x^16-3*x^14+4*x^12-3*x^10"
+        "+x^8)*P^5 + (2*x^12-3*x^10+x^8)*P^4 + (3*x^10-6*x^8+4*x^6"
+        "-2*x^4)*P^3 + (-2*x^6+x^4)*P^2 + (x^4-x^2+1)*P - 1"
+    ),
+    ("{2*r+2}", "{2*r+1}", "{}"): (
+        "(x^15-3*x^14+3*x^13-x^12)*P^6 + (x^14-2*x^13+x^12-x^11+3*x^10"
+        "-3*x^9+x^8)*P^5 + (2*x^10-3*x^9+x^8)*P^4 + (3*x^9-3*x^8-3*x^6"
+        "+4*x^5-2*x^4)*P^3 + (-2*x^5+x^4)*P^2 + (x^4-x+1)*P - 1"
+    ),
+    ("{2*r+1}", "{2*r+2}", "{3}"): (
+        "(x^15-3*x^14+3*x^13-x^12)*P^6 + (x^18-3*x^17+3*x^16-x^15+x^14"
+        "-2*x^13+x^12-x^11+3*x^10-3*x^9+x^8)*P^5 + (x^17-3*x^16+3*x^15+x^14"
+        "-4*x^13+2*x^12+2*x^10-3*x^9+x^8)*P^4 + (3*x^17-10*x^16+12*x^15"
+        "-6*x^14+5*x^13-9*x^12+6*x^11-4*x^10+8*x^9-7*x^8+2*x^7-3*x^6+4*x^5"
+        "-2*x^4)*P^3 + (-x^16+3*x^15-3*x^14-x^13+3*x^12-x^10-4*x^9+5*x^8"
+        "-x^7-2*x^5+x^4)*P^2 + (x^16-3*x^15+3*x^14-x^13+3*x^12-6*x^11"
+        "+3*x^10-x^9+6*x^8-6*x^7+x^6-2*x^5+5*x^4-2*x^3-x+1)*P - x^12 "
+        "+ 3*x^11 - 3*x^10 + x^9 - 3*x^8 + 6*x^7 - 3*x^6 - 3*x^4 + 3*x^3 "
+        "- 1"
+    ),
+}
+
+
+def test_the_route_proves_relations_whose_d_v_vanishes_at_the_origin(monkeypatch):
+    seen = []
+    holds = symbolic.proof_holds
+
+    def spy(polys, den, F, relations, const):
+        seen.append(relations)
+        return holds(polys, den, F, relations, const)
+
+    monkeypatch.setattr(symbolic, "proof_holds", spy)
+    for literals, want in ZERO_AT_ORIGIN.items():
+        F = _route(literals)
+        assert F is not None and poly_text(F) == want, literals
+        # some D_v has no constant term, which a check of D_v(0) != 0 refuses
+        relations = seen.pop()
+        assert any(0 not in rel.as_coeff_map(v)[1].as_coeff_map(BASE)
+                   for v, rel in relations.items()), literals
+
+
+# continued fractions ----------------------------------------------------------
+
+# 0, small finite sets, progressions and {r}, {r+1}, {r+2}: 225 (A, B) pairs
+PV_POOL = ["{}", "{0}", "{1}", "{2}", "{3}", "{1,2}", "{1,3}", "{1,4}", "{0,2}",
+           "{2*r+1}", "{2*r+2}", "{r}", "{r+1}", "{r+2}", "{2*r}"]
+
+
+def test_the_chain_gives_minimal_equations():
+    quadratics = 0
+    for A, B in product(PV_POOL, repeat=2):
+        peaks, valleys = parse_stepset(A), parse_stepset(B)
+        F = fab(peaks, valleys)
+        n = 2 * F.degree(BASE) + 12
+        spec = RestrictionSpec(peaks=peaks, valleys=valleys)
+        series = Series.from_values(reference_series(spec, n))
+        assert series_vanishes(F, series), (A, B)
+        assert _split_content(F, ROOT, BASE)[0].is_constant(), (A, B)  # content 1 in x
+        assert F.degree(ROOT) in (1, 2), (A, B)
+        if F.degree(ROOT) == 2:
+            quadratics += 1
+            a, b, c = (F.as_coeff_map(ROOT).get(i, MPoly.zero(F.ring)) for i in (2, 1, 0))
+            disc = b * b - 4 * a * c
+            # no square in Z[x], so F is irreducible: some value is no square
+            values = [sum(k * t ** e[1] for e, k in disc.terms.items()) for t in range(1, 30)]
+            assert any(v < 0 or isqrt(v) ** 2 != v for v in values), (A, B)
+    assert quadratics == 144
+
+
+def test_square_roots_in_z_x():
+    ring = make_ring(ROOT, BASE)
+    x = gens(ring)[BASE]
+    assert symbolic._square_root((3 * x * x - x + 2) ** 2) == 3 * x * x - x + 2
+    assert symbolic._square_root(4 * x * x + 1) is None
+    assert symbolic._square_root(2 * x * x) is None  # a square in R[x] only
+    assert symbolic._square_root(-x * x) is None
