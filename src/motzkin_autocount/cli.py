@@ -3,9 +3,10 @@
 Subcommands: seq (DP counting), oracle (brute-force counts or path lists),
 guess (sequence to polynomial), fab / fcde (symbolic derivation), verify
 (cross-route agreement report).  Set-valued flags take literals like
-``{1,4}`` or ``{2*r+1}``.  Exit codes: 0 success, 1 usage or parse error,
-2 internal inconsistency, 3 nothing found (no guess within the bounds, or
-no equation proved by the route).
+``{1,4}`` or ``{2*r+1}``.  Exit codes: 0 success, 1 usage, parse or
+domain error (a set literal or a grammar past its size limit), 2 internal
+inconsistency, 3 nothing found (no guess within the bounds, or no equation
+proved by the route).
 """
 
 from __future__ import annotations

@@ -30,9 +30,11 @@ class StepSetError(ValueError):
     """Invalid StepSet construction or operation."""
 
 
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+# The most residues modulo the period (the lcm of the strides) that the
+# progressions of one set may cover, counted from the strides alone.  It
+# bounds the work of canonicalization and the progressions of the canonical
+# form; a set over it is refused before that work starts.
+MAX_RESIDUES = 10_000
 
 
 def _canonicalize(
@@ -55,6 +57,12 @@ def _canonicalize(
     period = 1
     for stride, _ in ap_list:
         period = period * stride // gcd(period, stride)
+    residues = sum(period // stride for stride, _ in ap_list)
+    if residues > MAX_RESIDUES:
+        raise StepSetError(
+            f"the progressions cover up to {residues} residues modulo their period "
+            f"{period}; at most {MAX_RESIDUES} are supported"
+        )
 
     # earliest element of the progression union in each residue class mod period
     start: dict[int, int] = {}
@@ -66,9 +74,12 @@ def _canonicalize(
                 start[r] = v
 
     covered = set(start)
-    # minimal eventual period: smallest divisor d of period with covered + d == covered
-    for d in _divisors(period):
-        if all((r + d) % period in covered for r in covered):
+    # minimal eventual period: the least d > 0 with covered + d == covered.
+    # It divides period, and r0 + d is covered, so it is the least such
+    # difference from r0 (period itself always qualifies).
+    r0 = min(covered)
+    for d in sorted({(r - r0) % period or period for r in covered}):
+        if period % d == 0 and all((r + d) % period in covered for r in covered):
             break
 
     new_aps: list[tuple[int, int]] = []

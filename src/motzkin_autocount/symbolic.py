@@ -1,17 +1,22 @@
 """Symbolic route: grammar decomposition to a polynomial system, then one
 proved equation F(x, P) = 0, by one route per grammar.
 
-Two grammars are implemented.  The peak/valley grammar expands states
-(A, B) of forbidden peak and valley heights; each state contributes one
-equation relating it to a single child state, with flat runs handled by
-geometric-series factors whose denominators are cleared.  The run-length
-grammar expands states that track the global forbidden run lengths C/D/E
-together with boundary slots: the constraint on the initial run (if it is
-an up-run or a flat-run) and on the final run (if a down-run or flat-run),
-plus four booleans forcing the initial/final run kind.  Boundary slots
-apply only to the run actually touching that end; for a one-run (all-flat)
-path the initial-slot constraint governs and the final slot is vacuous.
-Both grammars store one rule tuple per state, (case, state, children...).
+Two grammars are implemented, and one expander (_expand) serves both: it
+visits the states reachable from the root breadth first, names them P,
+v1, v2, ..., stores one rule tuple (case, state, children..., extra) per
+state, and turns each tuple into one polynomial (_equation).  The
+peak/valley grammar expands states (A, B) of forbidden peak and valley
+heights; each state relates to a single child state by a 2x2
+linear-fractional map (_pv_maps), whose denominator is cleared.  The
+run-length grammar expands states that track the global forbidden run
+lengths C/D/E together with boundary slots: the constraint on the initial
+run (if it is an up-run or a flat-run) and on the final run (if a
+down-run or flat-run), plus four booleans forcing the initial/final run
+kind.  Boundary slots apply only to the run actually touching that end;
+for a one-run (all-flat) path the initial-slot constraint governs and the
+final slot is vacuous.  Each run rule reads the slots of its child one
+fixed way, stated at the rule, and a slot no path of a state reaches
+holds its global set, so states differing only there merge.
 
 Each built system admits the counting series of its root state as a
 solution.  solve_system reads the equation of a peak/valley system off
@@ -62,6 +67,11 @@ RUN_CASES = ("step", "fork", "split")
 
 class SystemBuildError(RuntimeError):
     pass
+
+
+class StateCapError(ValueError):
+    """A spec whose grammar has more than STATE_CAP states: a limit of the
+    domain the program handles, not an inconsistency."""
 
 
 # states --------------------------------------------------------------------
@@ -124,67 +134,96 @@ class EquationSystem:
         return len(self.polys)
 
 
+# the expander ---------------------------------------------------------------
+
+
+def _expand(root, rule, sets: tuple) -> EquationSystem:
+    """Expand the states reachable from root breadth first, one rule each.
+
+    ``rule(state)`` returns (case, child states, *extra), stored as the
+    rule tuple (case, v, child variables..., *extra).  The root is P and
+    every other state is named v1, v2, ... in order of discovery; the ring
+    is (..., v2, v1, P, x), and each rule tuple becomes one polynomial
+    (_equation).  More than STATE_CAP states raise StateCapError.
+    """
+    var_of = {root: ROOT}
+    queue = deque([root])
+    rules = []
+
+    def visit(state) -> str:
+        if state not in var_of:
+            if len(var_of) >= STATE_CAP:
+                raise StateCapError("state expansion exceeded the hard cap")
+            var_of[state] = f"v{len(var_of)}"
+            queue.append(state)
+        return var_of[state]
+
+    while queue:
+        state = queue.popleft()
+        case, children, *extra = rule(state)
+        rules.append((case, var_of[state], *map(visit, children), *extra))
+    ring = make_ring(*reversed(list(var_of.values())[1:]), ROOT, BASE)
+    g = gens(ring)
+    polys = [_equation(g, r) for r in rules]
+    return EquationSystem(ring, polys, ROOT, var_of, {r[1]: r for r in rules}, sets)
+
+
+def _pv_maps(x: MPoly) -> dict[str, tuple]:
+    """The rules of the peak/valley grammar as 2x2 matrices on the ring of
+    x: [[a, b], [c, d]] is the rule V = (a*W + b) / (c*W + d) in the one
+    child W, that is V = 1 / (1 - x - x^2*W) for first_return,
+    V = (x^2*W + 1 - x) / (1-x)^2 for single_arch and
+    V = ((1-x)*W - 1) / (1-x) for flat_carve.
+    """
+    one, zero = MPoly.const(x.ring, 1), MPoly.zero(x.ring)
+    y = one - x
+    return {
+        "first_return": ((zero, one), (-x * x, y)),
+        "single_arch": ((x * x, y), (zero, y * y)),
+        "flat_carve": ((y, -one), (zero, y)),
+    }
+
+
+def _equation(g: dict[str, MPoly], rule: tuple) -> MPoly:
+    """The polynomial of one rule tuple over the generators g of its ring.
+
+    A peak/valley rule V = (a*W + b) / (c*W + d) becomes
+    V*(c*W + d) - (a*W + b).
+    """
+    case, v, w = rule[:3]
+    V, W = g[v], g[w]
+    if case == "step":
+        return V - g[BASE] ** rule[3] * W
+    if case == "fork":
+        return V - W - g[rule[3]] - rule[4]
+    if case == "split":
+        return V - W - g[rule[3]] * g[ROOT] * g[rule[4]]
+    (a, b), (c, d) = _pv_maps(g[BASE])[case]
+    return V * (c * W + d) - (a * W + b)
+
+
 # peak/valley system ---------------------------------------------------------
 
 
 def build_peak_valley_system(peaks: StepSet, valleys: StepSet) -> EquationSystem:
-    """Expand (A, B) states; exactly one rule fires per state.
+    """Expand (A, B) states; exactly one rule of _pv_maps fires per state.
 
     Rule precedence: if 0 is a forbidden peak the flat paths are carved
     out; else if 0 is a forbidden valley the path returns to the axis once
     and both sets shift down inside the single arch; else the first return
     splits the path into an arch (shifted sets) and an unrestricted tail
-    (same state).  Denominators (1-x) are cleared.
+    (same state).  Denominators are cleared.
     """
-    start = PVState(peaks, valleys)
-    var_of: dict[PVState, str] = {start: ROOT}
-    order = [start]
-    eqs: list[tuple[str, str, str]] = []
-    queue = deque([start])
 
-    def visit(state: PVState) -> str:
-        if state in var_of:
-            return var_of[state]
-        if len(var_of) >= STATE_CAP:
-            raise SystemBuildError("state expansion exceeded the hard cap")
-        name = f"v{len(var_of)}"
-        var_of[state] = name
-        order.append(state)
-        queue.append(state)
-        return name
-
-    while queue:
-        st = queue.popleft()
-        v = var_of[st]
+    def rule(st: PVState) -> tuple:
         if 0 in st.peaks:
-            child = PVState(st.peaks.remove_zero(), st.valleys)
-            eqs.append(("flat_carve", v, visit(child)))
-        elif 0 in st.valleys:
+            return "flat_carve", [PVState(st.peaks.remove_zero(), st.valleys)]
+        if 0 in st.valleys:
             child = PVState(st.peaks.decrement(), st.valleys.remove_zero().decrement())
-            eqs.append(("single_arch", v, visit(child)))
-        else:
-            child = PVState(st.peaks.decrement(), st.valleys.decrement())
-            eqs.append(("first_return", v, visit(child)))
+            return "single_arch", [child]
+        return "first_return", [PVState(st.peaks.decrement(), st.valleys.decrement())]
 
-    aux = [var_of[s] for s in order if var_of[s] != ROOT]
-    ring = make_ring(*reversed(aux), ROOT, BASE)
-    g = gens(ring)
-    x = g[BASE]
-    one_minus_x = MPoly.const(ring, 1) - x
-
-    polys = []
-    case_of = {}
-    for case, v, w in eqs:
-        V, W = g[v], g[w]
-        if case == "flat_carve":
-            p = one_minus_x * (V - W) + 1
-        elif case == "single_arch":
-            p = one_minus_x * one_minus_x * V - one_minus_x - x * x * W
-        else:
-            p = one_minus_x * V - 1 - x * x * V * W
-        polys.append(p)
-        case_of[v] = (case, v, w)
-    return EquationSystem(ring, polys, ROOT, dict(var_of), case_of, (peaks, valleys))
+    return _expand(PVState(peaks, valleys), rule, (peaks, valleys))
 
 
 # run-length system ----------------------------------------------------------
@@ -196,32 +235,12 @@ def _shift(s: StepSet) -> tuple[StepSet, bool]:
     return dec.remove_zero(), 0 in dec
 
 
-def build_run_system(
-    up_runs: StepSet,
-    down_runs: StepSet,
-    flat_runs: StepSet,
-    *,
-    strip_end_start_slot: str = "carry",
-    strip_end_end_slot: str = "reset",
-    arch_flat_slots: str = "reset",
-    merge_inactive_slots: bool = True,
-) -> EquationSystem:
+def build_run_system(up_runs: StepSet, down_runs: StepSet, flat_runs: StepSet) -> EquationSystem:
     """Expand run states from the unrestricted-boundary root.
 
-    The three keyword readings cover ambiguities in how the two
-    strip-a-step rules and the arch rule treat slots that are inactive in
-    the parent: ``strip_end_start_slot`` is the initial-run slot when the
-    final flat step is stripped ("carry" keeps it, which is required when
-    the state forces an up-start); ``strip_end_end_slot`` is the final-down
-    slot in the same rule ("reset" restores the global set, which is
-    required because the newly exposed down-run was interior before);
-    ``arch_flat_slots`` is the pair of flat slots when an up/down arch is
-    stripped ("reset" restores globals, as the exposed runs were interior).
-    The defaults are the readings validated against brute-force counts;
-    the alternatives exist so tests can demonstrate the comparison.
-    ``merge_inactive_slots`` canonicalizes slots that cannot affect any
-    path (for example the initial-flat slot when an up-start is forced),
-    shrinking the state space without changing any series value.
+    Each state fires one rule.  The comments on the rules give how each
+    treats the slots of its child; audit_system checks every rule against
+    brute-force counts of the states.
     """
     C, D, E = up_runs, down_runs, flat_runs
     for s in (C, D, E):
@@ -229,8 +248,8 @@ def build_run_system(
             raise ValueError("run lengths are positive")
 
     def canon(st: RunState) -> RunState:
-        if not merge_inactive_slots:
-            return st
+        # a slot no path of the state can reach holds its global set, so
+        # states that differ only there merge; no series changes
         if st.start_up:
             st = replace(st, first_flat=E)
         if st.start_flat:
@@ -241,27 +260,7 @@ def build_run_system(
             st = replace(st, last_down=D)
         return st
 
-    root = RunState("h", C, D, E, E)
-    var_of: dict[RunState, str] = {root: ROOT}
-    order = [root]
-    eqs: list[tuple] = []
-    queue = deque([root])
-
-    def visit(state: RunState) -> str:
-        state = canon(state)
-        if state in var_of:
-            return var_of[state]
-        if len(var_of) >= STATE_CAP:
-            raise SystemBuildError("state expansion exceeded the hard cap")
-        name = f"v{len(var_of)}"
-        var_of[state] = name
-        order.append(state)
-        queue.append(state)
-        return name
-
-    while queue:
-        st = queue.popleft()
-        v = var_of[st]
+    def rule(st: RunState) -> tuple:
         if st.kind == "h":
             # either the path leaves the axis at most once, or it splits at
             # the first axis return and the last axis departure; the middle
@@ -270,76 +269,39 @@ def build_run_system(
             same = replace(st, kind="H")
             left = replace(st, kind="H", last_down=D, end_down=True, end_flat=False)
             right = replace(st, kind="H", first_up=C, start_up=True, start_flat=False)
-            eqs.append(("split", v, visit(same), visit(left), visit(right)))
-            continue
-        if st.start_flat:
+            out = "split", [same, left, right]
+        elif st.start_flat:
             # strip the forced leading flat step
             rest, still = _shift(st.first_flat)
-            child = replace(
-                st, first_up=C, start_up=False, first_flat=rest, start_flat=still
-            )
-            eqs.append(("step", v, visit(child), 1))
+            child = replace(st, first_up=C, start_up=False, first_flat=rest, start_flat=still)
+            out = "step", [child], 1
         elif st.end_flat:
-            # strip the forced trailing flat step
+            # strip the forced trailing flat step; only the up-start fork
+            # forces a flat end, so the initial run is an up-run the strip
+            # leaves alone and its slot is carried (resetting it breaks the
+            # rule), and a down-run the strip exposes at the end was
+            # interior before, so the final-down slot stays at D (canon)
             rest, still = _shift(st.last_flat)
-            child = replace(st, last_flat=rest, end_flat=still)
-            if strip_end_start_slot == "reset":
-                child = replace(child, first_up=C, start_up=False)
-            if strip_end_end_slot == "reset":
-                child = replace(child, last_down=D)
-            eqs.append(("step", v, visit(child), 1))
+            out = "step", [replace(st, last_flat=rest, end_flat=still)], 1
         elif st.start_up and st.end_down:
-            # strip the forced outer up/down arch
+            # strip the forced outer up/down arch; the runs it exposes at
+            # either end were interior before, so both flat slots are E
             cup, sup = _shift(st.first_up)
             cdn, sdn = _shift(st.last_down)
-            child = RunState(
-                "h",
-                cup,
-                cdn,
-                E if arch_flat_slots == "reset" else st.first_flat,
-                E if arch_flat_slots == "reset" else st.last_flat,
-                start_up=sup,
-                end_down=sdn,
-            )
-            eqs.append(("step", v, visit(child), 2))
+            out = "step", [RunState("h", cup, cdn, E, E, start_up=sup, end_down=sdn)], 2
         elif not (st.start_up or st.end_down):
             # split on the initial run kind; empty path allowed
-            up_child = replace(st, start_up=True, first_flat=E)
-            flat_child = replace(st, start_flat=True)
-            eqs.append(("fork", v, visit(up_child), visit(flat_child), 1))
+            out = "fork", [replace(st, start_up=True), replace(st, start_flat=True)], 1
         elif st.end_down:
             # split on the initial run kind; a down-ending path is nonempty
-            up_child = replace(st, start_up=True, first_flat=E)
-            flat_child = replace(st, start_flat=True)
-            eqs.append(("fork", v, visit(up_child), visit(flat_child), 0))
+            out = "fork", [replace(st, start_up=True), replace(st, start_flat=True)], 0
         else:
             # up-start forced: split on the final run kind
-            down_child = replace(st, end_down=True, first_flat=E)
-            flat_child = replace(st, end_flat=True)
-            eqs.append(("fork", v, visit(down_child), visit(flat_child), 0))
+            out = "fork", [replace(st, end_down=True), replace(st, end_flat=True)], 0
+        case, children, *extra = out
+        return (case, [canon(c) for c in children], *extra)
 
-    aux = [var_of[s] for s in order if var_of[s] != ROOT]
-    ring = make_ring(*reversed(aux), ROOT, BASE)
-    g = gens(ring)
-    x = g[BASE]
-
-    polys = []
-    case_of = {}
-    for eq in eqs:
-        tag, v = eq[0], eq[1]
-        V = g[v]
-        if tag == "step":
-            _, _, w, power = eq
-            p = V - (x ** power) * g[w]
-        elif tag == "fork":
-            _, _, w1, w2, const = eq
-            p = V - g[w1] - g[w2] - const
-        else:
-            _, _, same, left, right = eq
-            p = V - g[same] - g[left] * g[ROOT] * g[right]
-        polys.append(p)
-        case_of[v] = eq
-    return EquationSystem(ring, polys, ROOT, dict(var_of), case_of, (C, D, E))
+    return _expand(RunState("h", C, D, E, E), rule, (C, D, E))
 
 
 # state-level brute force ------------------------------------------------------
@@ -868,16 +830,12 @@ def continued_fraction(
     """The minimal equation of a peak/valley system, read off its chain.
 
     Each rule of build_peak_valley_system is V = (a*W + b) / (c*W + d) in
-    its one child W:
-
-    - first_return: [[0, 1], [-x^2, 1-x]];
-    - single_arch: [[x^2, 1-x], [0, (1-x)^2]];
-    - flat_carve: [[1-x, -1], [0, 1-x]].
-
-    Following the children from the root gives a tail of states and then a
-    cycle, so with T and C the matrix products along them, P = T(w) and
-    w = C(w) for the series w of the cycle's first state (Flajolet's
-    continued fractions for height-restricted paths).
+    its one child W, with the matrix [[a, b], [c, d]] of _pv_maps that the
+    system's polynomial of the rule is made of.  Following the children
+    from the root gives a tail of states and then a cycle, so with T and C
+    the matrix products along them, P = T(w) and w = C(w) for the series w
+    of the cycle's first state (Flajolet's continued fractions for
+    height-restricted paths).
 
     Why the equation is right.  The counting series satisfy every rule in
     Q[[x]], and every denominator c*W + d has constant term 1, so it is a
@@ -910,12 +868,7 @@ def continued_fraction(
     ring = make_ring(ROOT, BASE)
     P, x = MPoly.var(ring, ROOT), MPoly.var(ring, BASE)
     one, zero = MPoly.const(ring, 1), MPoly.zero(ring)
-    y = one - x
-    maps = {
-        "first_return": ((zero, one), (-x * x, y)),
-        "single_arch": ((x * x, y), (zero, y * y)),
-        "flat_carve": ((y, -one), (zero, y)),
-    }
+    maps = _pv_maps(x)
     chain = [system.root]
     while (w := system.case_of[chain[-1]][2]) not in chain:
         chain.append(w)

@@ -321,3 +321,17 @@ def test_help_and_usage_exit_codes(run_cli, capsys):
     capsys.readouterr()
     rc, _, _ = run_cli("seq", "--A", "{oops}", "--N", "3")
     assert rc == 1
+
+
+def test_domain_limits_exit_1(run_cli):
+    # a grammar past the state cap, and set literals whose canonical form
+    # would be too large, are refused as requests, not internal errors
+    for args in [("fab", "--A", "{20000}"), ("fcde", "--C", "{20000}"),
+                 ("verify", "--A", "{20000}", "--N", "5")]:
+        rc, out, err = run_cli(*args)
+        assert (rc, out) == (1, ""), args
+        assert "hard cap" in err, args
+    for literal in ["{10007*r+1,10009*r+2}", "{100003*r+1,100019*r+2}"]:
+        rc, out, err = run_cli("seq", "--C", literal, "--N", "3")
+        assert (rc, out) == (1, ""), literal
+        assert "residues" in err, literal

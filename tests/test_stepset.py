@@ -1,10 +1,13 @@
 """Set-literal parsing, canonical forms, and the boundary-set operators."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motzkin_autocount import EMPTY, StepSet, StepSetError, format_stepset, parse_stepset
+from motzkin_autocount import stepset
 
 step_sets = st.builds(
     StepSet,
@@ -46,6 +49,22 @@ def test_canonical_form_merges_overlapping_descriptions():
     # two interleaved progressions covering everything collapse to {r}
     assert StepSet((), ((2, 0), (2, 1))) == parse_stepset("{r}")
     assert format_stepset(StepSet((), ((2, 0), (2, 1)))) == "{r}"
+
+
+def test_sets_covering_too_many_residues_are_refused(monkeypatch):
+    # 10009 + 10007 residues modulo 10007 * 10009: refused from the strides
+    for text in ["{10007*r+1,10009*r+2}", "{100003*r+1,100019*r+2}"]:
+        with pytest.raises(StepSetError, match="residues"):
+            parse_stepset(text)
+    # one progression covers one residue, whatever its stride
+    start = time.perf_counter()
+    assert parse_stepset("{10000019*r+1}").aps == ((10000019, 1),)
+    assert time.perf_counter() - start < 0.1
+    # the limit counts the residues: {2*r, 3*r} covers 3 + 2 modulo 6
+    monkeypatch.setattr(stepset, "MAX_RESIDUES", 5)
+    assert StepSet((), ((2, 0), (3, 0))).aps == ((6, 0), (6, 2), (6, 3), (6, 4))
+    with pytest.raises(StepSetError):
+        StepSet((), ((2, 0), (3, 0), (5, 0)))
 
 
 def elements_upto(s: StepSet, bound: int) -> list[int]:

@@ -1,6 +1,7 @@
-"""Symbolic grammar expansion, reading arbitration, and equation solving."""
+"""Symbolic grammar expansion, rule mutants, and equation solving."""
 
 import random
+from dataclasses import replace
 from itertools import product
 from math import isqrt
 
@@ -36,6 +37,7 @@ from motzkin_autocount.symbolic import (
     EquationSystem,
     GrammarSeries,
     RunState,
+    StateCapError,
     SystemBuildError,
     audit_system,
     build_peak_valley_system,
@@ -126,7 +128,7 @@ def test_legal_flag_combinations_and_rule_dispatch():
     one grammar case, which determines its generated rule."""
     systems = [
         build_run_system(ONE, ONE, ONE),
-        build_run_system(TWO, EMPTY, ONE, merge_inactive_slots=False),
+        build_run_system(TWO, EMPTY, ONE),
         build_run_system(ODD, EMPTY, EVEN_POS),
     ]
     seen_cases = set()
@@ -160,83 +162,68 @@ def test_legal_flag_combinations_and_rule_dispatch():
                 assert rule[0] == "fork" and rule[4] == 1
             else:
                 assert rule[0] == "fork" and rule[4] == 0
-    assert {"lead_flat", "arch", "open"} <= seen_cases
+    assert seen_cases == {"lead_flat", "trail_flat", "arch", "open", "down_end", "up_start"}
 
 
 def test_state_cap_is_enforced(monkeypatch):
     monkeypatch.setattr(symbolic, "STATE_CAP", 5)
-    with pytest.raises(SystemBuildError):
+    with pytest.raises(StateCapError):
         build_run_system(ONE, ONE, ONE)
+    with pytest.raises(StateCapError):
+        build_peak_valley_system(parse_stepset("{9}"), EMPTY)
 
 
-# reading arbitration ---------------------------------------------------------
+# slot readings and rule mutants ------------------------------------------------
 #
-# Each keyword reading has one validated value; the alternative produces a
-# system whose equations fail as counting identities.  The audits below pin
-# both sides so a silent regression in either direction is caught.
+# Each run rule reads the slots of its child one fixed way.  Under the
+# merging of unreachable slots, the one reading with a real alternative is
+# the initial slot when a trailing flat step is stripped; the first test
+# below pins it on brute-force state series.  A mutant changes one rule
+# tuple (and its polynomial): audit_system must flag it, GrammarSeries must
+# follow it, and the route must refuse it when the root series leaves the
+# DP.
 
 
-def test_arch_flat_slots_must_reset():
-    sets = (TWO, EMPTY, ONE)
-    ref = oracle_sequence(run_spec(*sets), 10)
-    assert ref == [1, 0, 2, 1, 5, 4, 15, 16, 55, 68, 222]
+def _mutant(system, rule):
+    """The system with the rule of variable rule[1] replaced, polynomial too."""
+    polys = list(system.polys)
+    polys[list(system.case_of).index(rule[1])] = symbolic._equation(gens(system.ring), rule)
+    return replace(system, polys=polys, case_of={**system.case_of, rule[1]: rule})
 
-    good = build_run_system(*sets, arch_flat_slots="reset",
-                            merge_inactive_slots=False)
-    assert good.size() == 38
-    assert iterate_series(good, 10) == ref
-    assert audit_system(good) == []
 
-    bad = build_run_system(*sets, arch_flat_slots="carry",
-                           merge_inactive_slots=False)
-    assert bad.size() == 53
-    got = iterate_series(bad, 10)
-    assert got[:9] == ref[:9]
-    assert got[9] == 72 and ref[9] == 68
-    assert audit_system(bad) == ["v21", "v34", "v46"]
+ALL_ONES = build_run_system(ONE, ONE, ONE)
+RUN_MUTANTS = [
+    ("step", "v5", "v9", 3),              # the arch power, 2 in the grammar
+    ("step", "v4", "v12", 1),             # the child, v8 in the grammar
+    ("fork", "v1", "v3", "v4", 0),        # the empty path dropped
+    ("split", "v9", "v14", "v13", "v15"),  # same and left exchanged
+]
 
 
 def test_trailing_strip_must_carry_the_start_slot():
-    sets = (ONE, ONE, ONE)
-    ref = oracle_sequence(run_spec(*sets), 10)
+    sets = ALL_ONES.sets
+    state_of = {v: s for s, v in ALL_ONES.var_of.items()}
+    strips = [(s, state_of[ALL_ONES.case_of[v][2]]) for s, v in ALL_ONES.var_of.items()
+              if s.kind == "H" and s.end_flat and not s.start_flat]
+    assert strips
 
-    good = build_run_system(*sets, strip_end_start_slot="carry",
-                            merge_inactive_slots=False)
-    assert good.size() == 39
-    assert iterate_series(good, 10) == ref
-    assert audit_system(good) == []
+    def holds(parent, child):  # parent = x * child, on brute force
+        return state_series(sets, parent, 8) == [0] + state_series(sets, child, 7)
 
-    bad = build_run_system(*sets, strip_end_start_slot="reset",
-                           merge_inactive_slots=False)
-    got = iterate_series(bad, 10)
-    assert got[2] != ref[2]
-    assert set(audit_system(bad)) >= {"v7", "v11"}
-
-
-def test_trailing_strip_must_reset_the_end_slot():
-    sets = (ONE, ONE, ONE)
-    ref = oracle_sequence(run_spec(*sets), 10)
-
-    good = build_run_system(*sets, strip_end_end_slot="reset",
-                            merge_inactive_slots=False)
-    assert iterate_series(good, 10) == ref
-
-    bad = build_run_system(*sets, strip_end_end_slot="carry",
-                           merge_inactive_slots=False)
-    got = iterate_series(bad, 10)
-    assert got[:8] == ref[:8]
-    assert got[8] != ref[8]
-    assert audit_system(bad) == ["v35"]
+    assert all(holds(parent, child) for parent, child in strips)
+    # the forced up-start is carried; resetting the slot breaks the rule
+    assert all(parent.start_up and child.start_up for parent, child in strips)
+    assert not any(holds(parent, replace(child, first_up=ONE, start_up=False))
+                   for parent, child in strips)
 
 
-def test_merging_inactive_slots_changes_nothing_but_the_state_count():
-    sets = (TWO, EMPTY, ONE)
-    merged = build_run_system(*sets)
-    unmerged = build_run_system(*sets, merge_inactive_slots=False)
-    assert merged.size() == 31
-    assert merged.size() < unmerged.size()
-    assert iterate_series(merged, 12) == iterate_series(unmerged, 12)
-    assert audit_system(merged) == []
+def test_audit_flags_exactly_the_mutated_variable():
+    for rule in RUN_MUTANTS:
+        assert audit_system(_mutant(ALL_ONES, rule)) == [rule[1]], rule
+    odd = build_peak_valley_system(ODD, ODD)
+    for rule in [("first_return", "v1", "v2"), ("flat_carve", "v2", "P"),
+                 ("single_arch", "P", "v1")]:
+        assert audit_system(_mutant(odd, rule)) == [rule[1]], rule
 
 
 # solving ---------------------------------------------------------------------
@@ -323,9 +310,10 @@ def test_reference_series_grows_the_table_it_is_given():
 
 
 def test_iterate_series_matches_dp_on_mixed_examples():
-    for sets in [(ONE, EMPTY, EMPTY), (EMPTY, ONE, ONE), (ODD, EMPTY, EVEN_POS)]:
+    for sets in [(ONE, EMPTY, EMPTY), (EMPTY, ONE, ONE), (ODD, EMPTY, EVEN_POS), (TWO, EMPTY, ONE)]:
         system = build_run_system(*sets)
         assert iterate_series(system, 12) == sequence(run_spec(*sets), 12)
+        assert audit_system(system) == []
 
 
 # reference series on height 0 --------------------------------------------------
@@ -387,24 +375,16 @@ def _fixpoint_series(system, n):
             return {v: list(s.coeffs) for v, s in g.items()}
 
 
-BAD_READINGS = [
-    ((TWO, EMPTY, ONE), {"arch_flat_slots": "carry"}),
-    ((ONE, ONE, ONE), {"strip_end_start_slot": "reset"}),
-    ((ONE, ONE, ONE), {"strip_end_end_slot": "carry"}),
-]
-
-
 def test_grammar_series_of_every_state():
-    system = build_run_system(ONE, ONE, ONE)
-    got = GrammarSeries(system).extend(9).coeffs
-    for state, name in system.var_of.items():
-        assert got[name] == state_series(system.sets, state, 8), name
-    # a wrong reading's rules do not count its states, but the series are
-    # still the unique solution of those rules
-    for sets, reading in BAD_READINGS:
-        bad = build_run_system(*sets, merge_inactive_slots=False, **reading)
+    got = GrammarSeries(ALL_ONES).extend(9).coeffs
+    for state, name in ALL_ONES.var_of.items():
+        assert got[name] == state_series(ALL_ONES.sets, state, 8), name
+    # a mutant's rules do not count its states, but the series are still
+    # the unique solution of those rules
+    for rule in RUN_MUTANTS:
+        bad = _mutant(ALL_ONES, rule)
         got = GrammarSeries(bad).extend(9).coeffs
-        assert got == _fixpoint_series(bad, 8), reading
+        assert got == _fixpoint_series(bad, 8), rule
         for n in (0, 3, 8):
             assert GrammarSeries(bad).extend(n + 1).coeffs == {
                 v: c[:n + 1] for v, c in got.items()
@@ -488,10 +468,11 @@ def test_route_proves_the_fcde_goldens(fcde_goldens):
 
 
 def test_the_route_refuses_an_inconsistent_grammar():
-    # the root series of this wrong reading leaves the DP at order 8, inside
-    # the prefix the guess of F was made from
-    bad = build_run_system(ONE, ONE, ONE, strip_end_end_slot="carry",
-                           merge_inactive_slots=False)
+    # the root series of this mutant leaves the DP at order 4, inside the
+    # prefix the guess of F was made from
+    bad = _mutant(ALL_ONES, RUN_MUTANTS[0])
+    got, want = iterate_series(bad, 4), sequence(run_spec(ONE, ONE, ONE), 4)
+    assert got[:4] == want[:4] and got[4] != want[4]
     with pytest.raises(RuntimeError, match="inconsistent"):
         guess_and_prove(bad, run_spec(ONE, ONE, ONE))
 
