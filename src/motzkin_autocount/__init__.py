@@ -4,11 +4,9 @@ algebraic equation satisfied by the counting generating function."""
 from .algebra import (
     MPoly,
     Series,
-    groebner_reduced,
     make_ring,
     poly_text,
     primitive_part,
-    resultant,
     series_solve,
     series_vanishes,
 )
@@ -63,7 +61,6 @@ __all__ = [
     "fcde",
     "features",
     "format_stepset",
-    "groebner_reduced",
     "guess_algebraic",
     "list_restricted",
     "make_ring",
@@ -73,7 +70,6 @@ __all__ = [
     "poly_text",
     "primitive_part",
     "reference_series",
-    "resultant",
     "sequence",
     "series_solve",
     "series_vanishes",

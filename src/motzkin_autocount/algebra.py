@@ -1,28 +1,27 @@
 """Exact polynomial and power-series kernel on stdlib integers and rationals.
 
 Provides sparse multivariate polynomials with a fixed variable tuple per
-ring (pure lexicographic order, first name biggest), the content in one
-variable by the primitive pseudo-remainder chain, pseudo-remainders and
-linear substitution, Sylvester resultants via fraction-free determinants,
-exact linear solves block by block (the strongly connected blocks of the
-sparsity pattern in dependency order, each by fraction-free Gauss-Jordan),
-reduced lex Groebner bases, and truncated power-series utilities including
-solving a polynomial equation for its unique series root given a
-disambiguating prefix.
+ring (pure lexicographic order, first name biggest), exact division, the
+content in one variable by the primitive pseudo-remainder chain,
+pseudo-remainders and linear substitution, exact linear solves block by
+block (the strongly connected blocks of the sparsity pattern in dependency
+order, each by fraction-free Gauss-Jordan), and truncated power-series
+utilities including solving a polynomial equation for its unique series
+root given a disambiguating prefix.
 
 Coefficients, of polynomials and of truncated series alike, are Python ints
 wherever they are integral, which covers every polynomial the symbolic
-route builds; a Fraction
-appears only where a true rational does (Groebner S-polynomials and normal
-forms, rational guesser input).  Each exponent vector is packed into one
-int of SLOT_BITS bits per variable, the first ring variable in the most
-significant slot, so integer order on packed keys is lex order on exponent
-tuples and multiplying monomials is adding keys.  The top bit of every slot
-is a guard bit: an exponent may be at most MAX_EXP, a construction or
-product that would exceed it raises AlgebraError instead of carrying into
-the next slot, and a key difference that is negative or has a guard bit
-set marks a monomial that does not divide another.  ``MPoly.terms`` is a
-read-only view of the terms keyed by exponent tuples.
+routes build; a Fraction appears only where a true rational does (rational
+input, or a series coefficient that is not an integer).  Each exponent
+vector is packed into one int of SLOT_BITS bits per variable, the first
+ring variable in the most significant slot, so integer order on packed keys
+is lex order on exponent tuples and multiplying monomials is adding keys.
+The top bit of every slot is a guard bit: an exponent may be at most
+MAX_EXP, a construction or product that would exceed it raises AlgebraError
+instead of carrying into the next slot, and a key difference that is
+negative or has a guard bit set marks a monomial that does not divide
+another.  ``MPoly.terms`` is a read-only view of the terms keyed by
+exponent tuples.
 
 Canonical published form for a polynomial: integer coefficients, content 1,
 and positive coefficient on the lexicographically leading term.
@@ -100,12 +99,6 @@ def _pack(exps: Exps, k: int) -> int:
 
 def _unpack(key: int, k: int) -> Exps:
     return tuple(key >> s & _SLOT_MASK for s in range(SLOT_BITS * (k - 1), -1, -SLOT_BITS))
-
-
-def _divides(a: int, b: int, guard: int) -> bool:
-    """Does monomial a divide monomial b (packed keys of one ring)?"""
-    d = b - a
-    return d >= 0 and not d & guard
 
 
 def _addmul(acc: dict, a: dict, b: dict) -> None:
@@ -481,7 +474,7 @@ def primitive_part(f: MPoly) -> MPoly:
     })
 
 
-# content and gcd in Z[base][main] -------------------------------------------
+# content in Z[base][main] ---------------------------------------------------
 
 
 def _split_content(f: MPoly, main: str, base: str) -> tuple[MPoly, MPoly]:
@@ -497,28 +490,20 @@ def _split_content(f: MPoly, main: str, base: str) -> tuple[MPoly, MPoly]:
     return c, q
 
 
-def _gcd(f: MPoly, g: MPoly, main: str, base: str | None = None) -> MPoly:
-    """The primitive gcd of f and g in Z[base][main] (in Z[main] without base).
+def _gcd(f: MPoly, g: MPoly, main: str) -> MPoly:
+    """The primitive gcd of f and g in Z[main].
 
-    The primitive prem chain: each pseudo-remainder is a Q(base)-multiple
-    of the Euclidean one, made primitive over Z by prem and over Z[base] by
-    dividing out its content, so the last nonzero one is the gcd of the
-    primitive parts of f and g; the gcd of their contents multiplies it.
+    The primitive prem chain: each pseudo-remainder is a Q-multiple of the
+    Euclidean one, made primitive over Z by prem, so the last nonzero one
+    is the gcd of the primitive parts of f and g.
     """
     if f.is_zero() or g.is_zero():
         return primitive_part(f + g)
-    c = MPoly.const(f.ring, 1)
-    if base is not None:
-        cf, f = _split_content(f, main, base)
-        cg, g = _split_content(g, main, base)
-        c = _gcd(cf, cg, base)
     if f.degree(main) < g.degree(main):
         f, g = g, f
     while g.degree(main) > 0:
         f, g = g, prem(f, g, main)
-        if base is not None and not g.is_zero():
-            g = _split_content(g, main, base)[1]
-    return primitive_part(c * f if g.is_zero() else c)
+    return primitive_part(f) if g.is_zero() else MPoly.const(f.ring, 1)
 
 
 def _derivative(f: MPoly, name: str) -> MPoly:
@@ -528,37 +513,7 @@ def _derivative(f: MPoly, name: str) -> MPoly:
     })
 
 
-# determinants and resultants ----------------------------------------------
-
-
-def det_bareiss(mat: list[list[MPoly]]) -> MPoly:
-    """Fraction-free determinant; entries share one ring."""
-    n = len(mat)
-    if n == 0:
-        raise AlgebraError("empty matrix")
-    ring = mat[0][0].ring
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = MPoly.const(ring, 1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return MPoly.zero(ring)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                if m[i][j].is_zero() and (m[i][k].is_zero() or m[k][j].is_zero()):
-                    continue  # a zero entry with a zero cross term stays zero
-                q = exact_div(_mul_sub(m[i][j], m[k][k], m[i][k], m[k][j]), prev)
-                assert q is not None, "Bareiss division must be exact"
-                m[i][j] = q
-            m[i][k] = MPoly.zero(ring)
-        prev = m[k][k]
-    return m[n - 1][n - 1] * sign
+# exact linear solves --------------------------------------------------------
 
 
 def _blocks(mat: list[list[MPoly]]) -> list[tuple[int, ...]]:
@@ -653,189 +608,12 @@ def linear_solve(mat: list[list[MPoly]], rhs: list[MPoly]) -> tuple[list[MPoly],
     return nums, den
 
 
-def sylvester_matrix(f: MPoly, g: MPoly, name: str) -> list[list[MPoly]]:
-    df, dg = f.degree(name), g.degree(name)
-    if df < 1 or dg < 1:
-        raise AlgebraError("resultant needs positive degree in the eliminated variable")
-    ring = f.ring
-    fc = f.as_coeff_map(name)
-    gc = g.as_coeff_map(name)
-    size = df + dg
-    rows = []
-    for i in range(dg):
-        row = [MPoly.zero(ring)] * size
-        for d, c in fc.items():
-            row[i + (df - d)] = c
-        rows.append(row)
-    for i in range(df):
-        row = [MPoly.zero(ring)] * size
-        for d, c in gc.items():
-            row[i + (dg - d)] = c
-        rows.append(row)
-    return rows
-
-
-def resultant(f: MPoly, g: MPoly, name: str) -> MPoly:
-    """Determinant of the Sylvester matrix with respect to one variable."""
-    return det_bareiss(sylvester_matrix(f, g, name))
-
-
-# Groebner bases (pure lex via the ring order) ------------------------------
-
-
-def _lead(f: MPoly) -> int:
-    return max(f._t)
-
-
-def _lcm_exps(a: int, b: int, k: int) -> int:
-    out = 0
-    for s in range(0, SLOT_BITS * k, SLOT_BITS):
-        out |= max(a >> s & _SLOT_MASK, b >> s & _SLOT_MASK) << s
-    return out
-
-
-def spoly(f: MPoly, g: MPoly) -> MPoly:
-    fe, ge = _lead(f), _lead(g)
-    L = _lcm_exps(fe, ge, len(f.ring))
-    mf = _make(f.ring, {L - fe: ONE / f._t[fe]})
-    mg = _make(g.ring, {L - ge: ONE / g._t[ge]})
-    return mf * f - mg * g
-
-
-def normal_form(f: MPoly, basis: Sequence[MPoly]) -> MPoly:
-    """Full reduction of every term of f modulo the basis."""
-    ring = f.ring
-    guard = _guard(len(ring))
-    rem = {}
-    work = f
-    lts = [(_lead(g), g) for g in basis if not g.is_zero()]
-    while not work.is_zero():
-        we = _lead(work)
-        wc = work._t[we]
-        for ge, g in lts:
-            if _divides(ge, we, guard):
-                work = work - _make(ring, {we - ge: Fraction(wc) / g._t[ge]}) * g
-                break
-        else:
-            rem[we] = wc
-            work = work - _make(ring, {we: wc})
-    return _make(ring, rem)
-
-
-def groebner_reduced(gens_in: Sequence[MPoly], max_reductions: int = 20_000) -> list[MPoly]:
-    """The unique reduced Groebner basis, primitive-integer normalized.
-
-    Buchberger with the coprimality and chain criteria; pairs are selected
-    by smallest lcm (total degree, then lex).
-    """
-    G = []
-    seen = set()
-    for g in gens_in:
-        p = primitive_part(g)
-        if p.is_zero():
-            continue
-        key = tuple(sorted(p._t.items()))
-        if key not in seen:
-            seen.add(key)
-            G.append(p)
-    if not G:
-        return []
-    k = len(G[0].ring)
-    guard = _guard(k)
-
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
-    done: set[tuple[int, int]] = set()
-    steps = 0
-
-    def lcm_of(i: int, j: int) -> tuple[int, int]:
-        L = _lcm_exps(_lead(G[i]), _lead(G[j]), k)
-        return sum(_unpack(L, k)), L  # total degree, then lex
-
-    while pairs:
-        i, j = min(pairs, key=lambda ij: lcm_of(*ij))
-        pairs.discard((i, j))
-        done.add((i, j))
-        li, lj = _lead(G[i]), _lead(G[j])
-        L = _lcm_exps(li, lj, k)
-        if L == li + lj:
-            continue  # coprime leading monomials
-        skip = False
-        for m in range(len(G)):
-            if m in (i, j):
-                continue
-            if _divides(_lead(G[m]), L, guard):
-                a = (min(i, m), max(i, m))
-                b = (min(j, m), max(j, m))
-                if a in done and b in done:
-                    skip = True
-                    break
-        if skip:
-            continue
-        steps += 1
-        if steps > max_reductions:
-            raise AlgebraError("Groebner computation exceeded the reduction cap")
-        r = normal_form(spoly(G[i], G[j]), G)
-        if r.is_zero():
-            continue
-        r = primitive_part(r)
-        G.append(r)
-        new = len(G) - 1
-        for m in range(new):
-            pairs.add((m, new))
-
-    # minimize: drop members whose leading monomial is divisible by another's
-    keep: list[MPoly] = []
-    lts = [_lead(g) for g in G]
-    for i, g in enumerate(G):
-        li = lts[i]
-        redundant = False
-        for j, lj in enumerate(lts):
-            if i == j:
-                continue
-            if _divides(lj, li, guard) and (lj != li or j < i):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(g)
-
-    # interreduce to the unique reduced basis
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(keep)):
-            others = keep[:i] + keep[i + 1:]
-            r = primitive_part(normal_form(keep[i], others))
-            if r._t != keep[i]._t:
-                keep[i] = r
-                changed = True
-        keep = [g for g in keep if not g.is_zero()]
-    keep.sort(key=_lead)
-    return keep
-
-
-def is_reduced_groebner(G: Sequence[MPoly]) -> bool:
-    """Self-check: S-polynomials reduce to zero and no term is reducible."""
-    for i in range(len(G)):
-        for j in range(i + 1, len(G)):
-            if not normal_form(spoly(G[i], G[j]), G).is_zero():
-                return False
-    for i, g in enumerate(G):
-        if primitive_part(g)._t != g._t:
-            return False
-        guard = _guard(len(g.ring))
-        for e in g._t:
-            for j, h in enumerate(G):
-                if i != j and _divides(_lead(h), e, guard):
-                    return False
-    return True
-
-
 # substitution and pseudo-remainder ------------------------------------------
 
 
 def _substitute_linear(q: MPoly, name: str, lin: MPoly) -> MPoly:
-    """q with name := -c0/c1, the root of lin = c1*name + c0, cleared by
-    c1**deg_name(q); equals the resultant of q and lin up to sign."""
+    """q(-c0/c1) * c1**deg_name(q) for lin = c1*name + c0: q at the root of
+    lin, with the denominators cleared."""
     cm = q.as_coeff_map(name)
     k = max(cm)
     lm = lin.as_coeff_map(name)
@@ -902,10 +680,6 @@ class Series:
         n = min(self.order, other.order)
         return Series(tuple(self.coeffs[i] + other.coeffs[i] for i in range(n)))
 
-    def __sub__(self, other: "Series") -> "Series":
-        n = min(self.order, other.order)
-        return Series(tuple(self.coeffs[i] - other.coeffs[i] for i in range(n)))
-
     def __mul__(self, other: "Series") -> "Series":
         n = min(self.order, other.order)
         out = [0] * n
@@ -917,10 +691,6 @@ class Series:
                 if b:
                     out[i + j] += a * b
         return Series(tuple(out))
-
-    def scale(self, c) -> "Series":
-        c = _coeff(c)
-        return Series(tuple(v * c for v in self.coeffs))
 
     def shift(self, k: int) -> "Series":
         """Multiply by x**k, keeping the order."""

@@ -59,14 +59,13 @@ SIEVE_PRIME = (1 << 61) - 1
 class GuessConfig:
     max_p_degree: int
     max_x_degree: int
-    safety_margin: int = SAFETY_MARGIN
 
     def __post_init__(self):
-        if self.max_p_degree < 0 or self.max_x_degree < 0 or self.safety_margin < 0:
+        if self.max_p_degree < 0 or self.max_x_degree < 0:
             raise ValueError("guess bounds must be nonnegative")
 
     def min_terms(self) -> int:
-        return (self.max_p_degree + 1) * (self.max_x_degree + 1) + self.safety_margin
+        return (self.max_p_degree + 1) * (self.max_x_degree + 1) + SAFETY_MARGIN
 
     def require_terms(self, n: int) -> None:
         """Raise ValueError unless ``n`` terms reach min_terms()."""
@@ -285,7 +284,7 @@ def guess_algebraic(seq: Sequence, cfg: GuessConfig) -> MPoly | None:
         # truncation headroom: only orders below n - dp are trustworthy
         L = n - dp
         unknowns = (dp + 1) * (dx + 1)
-        if L < unknowns + cfg.safety_margin:
+        if L < unknowns + SAFETY_MARGIN:
             if sieves:
                 sieves.pop(dp, None)  # every larger dx of this dp is skipped too
             continue

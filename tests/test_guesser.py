@@ -20,6 +20,7 @@ from motzkin_autocount import guesser
 from motzkin_autocount.guesser import (
     GUESS_RING,
     HOLDOUT,
+    SAFETY_MARGIN,
     SIEVE_PRIME,
     _ColumnSieve,
     _fit_rows,
@@ -289,9 +290,9 @@ def test_sieve_slots_hold_the_longest_run_of_largest_updates():
 
 
 @settings(max_examples=60, deadline=None)
-@given(SEQUENCES, st.integers(1, 3), st.integers(0, 6), st.integers(0, 5))
-def test_only_rank_deficient_pairs_read_a_basis_from_the_sieve(values, max_p, max_x, margin):
-    cfg = GuessConfig(max_p, max_x, margin)
+@given(SEQUENCES, st.integers(1, 3), st.integers(0, 6))
+def test_only_rank_deficient_pairs_read_a_basis_from_the_sieve(values, max_p, max_x):
+    cfg = GuessConfig(max_p, max_x)
     if len(values) < cfg.min_terms():
         return
     reached = []
@@ -307,7 +308,7 @@ def test_only_rank_deficient_pairs_read_a_basis_from_the_sieve(values, max_p, ma
     n = len(values)
     deficient = [
         (dp, dx) for dp, dx in _pair_schedule(max_p, max_x)
-        if n - dp >= (dp + 1) * (dx + 1) + margin
+        if n - dp >= (dp + 1) * (dx + 1) + SAFETY_MARGIN
         and not full_rank_mod_p(*fit_matrix(values, dp, dx))
     ]
     # the search stops at its first hit; a miss visits every deficient pair
