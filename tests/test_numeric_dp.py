@@ -141,14 +141,37 @@ def test_seeded_battery_matches_oracle():
 
 def test_long_sequences_satisfy_the_pinned_equations(golden_equations):
     # checks the fill far past the oracle's reach (about length 18), where
-    # every look-back window is full
+    # every look-back window is full and the slots have been widened often
     ring = make_ring("P", "x")
     names = {"P": MPoly.var(ring, "P"), "x": MPoly.var(ring, "x")}
     pinned = [(spec(), "x^2*P^2 + (x-1)*P + 1"), (spec(E="{r+1}"), "x^2*P^2 - P + 1")]
     for s, text in pinned + golden_equations:
         F = eval(text.replace("^", "**"), names)
         assert poly_text(F) == text
-        assert series_vanishes(F, Series.from_values(sequence(s, 200))), s.describe()
+        assert series_vanishes(F, Series.from_values(sequence(s, 400))), s.describe()
+
+
+def test_motzkin_numbers_satisfy_their_recurrence():
+    # the unrestricted spec has the widest cells, so it tests the slot width
+    # (n+2)*M(n) = (2n+1)*M(n-1) + 3(n-1)*M(n-2)
+    M = motzkin_numbers(500)
+    assert M[:3] == [1, 1, 2]
+    for n in range(2, 501):
+        assert (n + 2) * M[n] == (2 * n + 1) * M[n - 1] + 3 * (n - 1) * M[n - 2], n
+
+
+def test_a_table_grown_in_uneven_steps_matches_one_grown_at_once():
+    # a progression and a finite element in every slot, so every look-back
+    # of the running-sum identity crosses the widenings of the slots
+    s = spec(A="{3*r+2,0}", B="{2*r+1,4}", C="{3*r+1,2}", D="{2*r+2,1}", E="{4*r+2,1,5}")
+    assert all(v.finite and v.aps for v in (s.peaks, s.valleys, s.up_runs, s.down_runs,
+                                              s.flat_runs))
+    t = DPTable(s)
+    t.ensure(17)
+    t.count(40)
+    t.ensure(300)
+    assert [t.count(n) for n in range(301)] == sequence(s, 300)
+    assert sequence(s, 12) == oracle_sequence(s, 12)
 
 
 @settings(max_examples=25, deadline=None)

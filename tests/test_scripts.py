@@ -50,3 +50,8 @@ def test_benchmark_worker_runs_each_workload(workload, trace):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["attempted"] > 0 and result["failed"] == 0, proc.stderr
     assert (result["layers"] is not None) == (trace == "1")
+    if workload == "derive" and trace == "1":
+        # the tracer wraps DPTable.__init__(spec) and DPTable.ensure(m); a
+        # renamed hook would read 0 here instead of failing
+        assert result["layers"]["numeric_dp.tables_built"] > 0
+        assert result["layers"]["numeric_dp.rows_requested"] > 0
