@@ -1,13 +1,15 @@
 """Audit the run grammar against brute force on a battery of random specs.
 
 For every spec, every generated equation is checked as a counting
-identity (audit_system), the root series from rule iteration is compared
-with the enumeration oracle, and the guess-and-prove route is run: the
-line shows the degrees (deg_P, deg_x) of the equation it proved, that it
-declined, or that it found the root series inconsistent with the DP (the
-spec then counts as BAD), and the wall time the spec took; `fcde` prints
-the same proved equations and exits 3 on the declined specs.  The script
-exits 1 when some spec is BAD.
+identity on brute-force counts of its states (audit_system, which reads
+the run-state oracle oracle.state_series), the root series from rule
+iteration is compared with the enumeration oracle, and the guess-and-prove
+route is run on the spec's DP table: the line shows the degrees
+(deg_P, deg_x) of the equation it proved, that it declined, or that it
+found the root series inconsistent with the DP (the spec then counts as
+BAD), and the wall time the spec took; `fcde` prints the same proved
+equations and exits 3 on the declined specs.  The script exits 1 when
+some spec is BAD.
 
     PYTHONPATH=src python scripts/equation_audit.py --count 30 --n 10 --seed 7
 """
@@ -18,7 +20,7 @@ import argparse
 import random
 import time
 
-from motzkin_autocount import RestrictionSpec, StepSet, oracle_sequence, parse_stepset
+from motzkin_autocount import DPTable, RestrictionSpec, StepSet, oracle_sequence, parse_stepset
 from motzkin_autocount.symbolic import (
     audit_system,
     build_run_system,
@@ -46,7 +48,7 @@ def battery(count: int, n: int, seed: int) -> int:
         want = oracle_sequence(spec, n)
         ok = not violations and got == want
         try:
-            F = guess_and_prove(system, spec)
+            F = guess_and_prove(system, DPTable(spec))
         except RuntimeError:
             # the root series left the DP past the n terms compared above
             ok, route = False, "inconsistent"

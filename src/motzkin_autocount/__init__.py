@@ -35,7 +35,6 @@ from .symbolic import (
     build_run_system,
     fab,
     fcde,
-    reference_series,
     solve_system,
 )
 
@@ -69,7 +68,6 @@ __all__ = [
     "parse_stepset",
     "poly_text",
     "primitive_part",
-    "reference_series",
     "sequence",
     "series_solve",
     "series_vanishes",

@@ -720,18 +720,35 @@ def _coeff_series(p: MPoly, base: str, order: int) -> Series:
     return Series(tuple(out))
 
 
-def poly_series_eval(F: MPoly, s: Series, main: str = "P", base: str = "x") -> Series:
-    """F(base, main := s) truncated to the order of s (Horner in main)."""
-    if not F.variables() <= {main, base}:
-        raise AlgebraError("polynomial must involve only the series variables")
-    cm = F.as_coeff_map(main)
-    if not cm:
-        return Series((0,) * s.order)
-    d = max(cm)
-    acc = _coeff_series(cm.get(d, MPoly.zero(F.ring)), base, s.order)
-    for i in range(d - 1, -1, -1):
-        acc = acc * s + _coeff_series(cm.get(i, MPoly.zero(F.ring)), base, s.order)
-    return acc
+def poly_series_eval(p: MPoly, values: Mapping[str, Series], order: int, base: str = "x") -> Series:
+    """p as a series truncated to ``order``: each variable of p other than
+    base takes its series in ``values``, and the powers of base are read off
+    as coefficient positions.
+
+    Horner in each variable that p uses, in ring order, so a series for a
+    variable p does not use costs nothing.  A used variable without a series
+    raises AlgebraError.
+    """
+    used = p.variables()
+    names = [v for v in p.ring if v != base and v in used]
+    for v in names:
+        if v not in values:
+            raise AlgebraError(f"no series for the variable {v}")
+    cut = {v: Series(values[v].coeffs[:order]) for v in names}
+
+    def horner(q: MPoly, i: int) -> Series:
+        if i == len(names) or not q._t:
+            return _coeff_series(q, base, order)
+        cm = q.as_coeff_map(names[i])
+        top = max(cm)
+        acc = horner(cm[top], i + 1)
+        for d in range(top - 1, -1, -1):
+            acc = acc * cut[names[i]]
+            if d in cm:
+                acc = acc + horner(cm[d], i + 1)
+        return acc
+
+    return horner(p, 0)
 
 
 def series_vanishes(F: MPoly, s: Series, main: str = "P", base: str = "x") -> bool:
@@ -744,7 +761,7 @@ def series_vanishes(F: MPoly, s: Series, main: str = "P", base: str = "x") -> bo
     need = s.order - max(dp, 0)
     if need <= 0:
         raise AlgebraError("series too short for a meaningful vanishing check")
-    value = poly_series_eval(F, s, main, base)
+    value = poly_series_eval(F, {main: s}, s.order, base)
     return all(c == 0 for c in value.coeffs[:need])
 
 
@@ -770,19 +787,20 @@ def series_solve(
     if dF.is_zero():
         raise AlgebraError("polynomial does not involve " + main)
 
-    if not poly_series_eval(F, Series(tuple(known)), main, base).is_zero():
+    if not poly_series_eval(F, {main: Series(tuple(known))}, len(known), base).is_zero():
         raise AlgebraError("prefix does not satisfy the equation")
 
     while len(known) < order:
         k = len(known)
-        deriv_val = poly_series_eval(dF, Series(tuple(known) + (0,) * k), main, base)
+        pd = Series(tuple(known) + (0,) * k)
+        deriv_val = poly_series_eval(dF, {main: pd}, pd.order, base)
         v = deriv_val.valuation()
         if v is None or v >= k:
             raise BranchAmbiguityError(
                 "the linear step degenerates; supply a longer prefix"
             )
         pk = Series(tuple(known) + (0,) * (v + 1))
-        value = poly_series_eval(F, pk, main, base)
+        value = poly_series_eval(F, {main: pk}, pk.order, base)
         if any(value.coeffs[t] != 0 for t in range(k, k + v)):
             raise AlgebraError("no series extension exists for this prefix")
         known.append(_coeff(-Fraction(value.coeffs[k + v]) / deriv_val.coeffs[v]))

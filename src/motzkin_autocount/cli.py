@@ -29,7 +29,6 @@ from .symbolic import (
     fab,
     fcde,
     iterate_series,
-    reference_series,
     solve_system,
 )
 
@@ -179,10 +178,10 @@ def _cmd_guess(args) -> int:
     spec = _spec_of(args)
     cfg = GuessConfig(args.maxp, args.maxx)
     cfg.require_terms(args.N + 1)  # before the DP builds a single term
-    tables: dict = {}
-    values = reference_series(spec, args.N, tables)
+    table = DPTable(spec)
+    values = table.counts(args.N)
     F = guess_algebraic(values, cfg)
-    if F is not None and not verify_guess(F, spec, 10, tables, fitted=len(values)):
+    if F is not None and not verify_guess(F, table, 10, fitted=len(values)):
         print("note: a candidate fit the prefix but failed on fresh terms",
               file=sys.stderr)
         F = None
@@ -222,17 +221,16 @@ def _cmd_verify(args) -> int:
     table = DPTable(spec)
 
     top = min(args.N, oracle_guard())
-    agree = oracle_sequence(spec, top) == [table.count(n) for n in range(top + 1)]
+    agree = oracle_sequence(spec, top) == table.counts(top)
     first = "PASS" if agree else "FAIL"
 
     F = None
-    tables = {spec: table}
     if not (pv and runs):  # the symbolic engine handles one grammar at a time
         if runs:
             system = build_run_system(spec.up_runs, spec.down_runs, spec.flat_runs)
         else:
             system = build_peak_valley_system(spec.peaks, spec.valleys)
-        F = solve_system(system, spec, tables)
+        F = solve_system(system, table)
     if F is None:  # a mixed spec, or a run spec the route proves nothing for
         second = "SKIP"
     else:
@@ -244,7 +242,7 @@ def _cmd_verify(args) -> int:
         if runs:
             values = iterate_series(system, need - 1)
         else:
-            values = reference_series(spec, need - 1, tables)
+            values = table.counts(need - 1)
         second = "PASS" if series_vanishes(F, Series.from_values(values)) else "FAIL"
 
     report = f"{first},{second}"

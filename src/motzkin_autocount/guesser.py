@@ -43,8 +43,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import MPoly, ONE, Ring, Series, make_ring, primitive_part
-from .stepset import RestrictionSpec
+from .algebra import MPoly, ONE, Ring, Series, make_ring, primitive_part, series_vanishes
+from .numeric_dp import DPTable
 
 GUESS_RING: Ring = make_ring("P", "x")
 
@@ -388,17 +388,11 @@ def guess_linear(series: Sequence[Sequence[int]]) -> list[list] | None:
     return None
 
 
-def verify_guess(
-    F: MPoly, spec: RestrictionSpec, extra: int, tables: dict | None = None, fitted: int = 0
-) -> bool:
-    """Re-test vanishing on a reference series that reaches ``extra`` terms
-    past both the ``fitted`` terms the guess was made from and F's
-    (dp+1)(dx+1) unknowns (``tables`` as in reference_series)."""
-    from .algebra import series_vanishes
-    from .symbolic import reference_series
-
+def verify_guess(F: MPoly, table: DPTable, extra: int, fitted: int = 0) -> bool:
+    """Re-test vanishing on the counts of ``table`` that reach ``extra``
+    terms past both the ``fitted`` terms the guess was made from and F's
+    (dp+1)(dx+1) unknowns."""
     dp = max(F.degree("P"), 0)
     dx = max(F.degree("x"), 0)
     length = max((dp + 1) * (dx + 1), fitted) + extra
-    values = reference_series(spec, length - 1, tables)
-    return series_vanishes(F, Series.from_values(values))
+    return series_vanishes(F, Series.from_values(table.counts(length - 1)))

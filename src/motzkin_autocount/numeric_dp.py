@@ -80,14 +80,16 @@ final value equals sum_n T(m, n) * 2^(n*W) with every T(m, n) in
 shifts, the masks and the read of slot 0 act only on such finished rows,
 so they are exact too.
 
-Widening.  The width is set for a row cap, first 16, and grows
-geometrically as rows are filled: when row m passes the cap, the cap
-becomes cap * 5/4 (rounded down) and the
-rows kept so far are copied slot by slot into the wider slots, by
-byte-strided bytearray slices.  Early rows stay narrow, and only the few
-rows of the windows are copied.  The banned heights up to the cap are kept
-as one bit per slot, copied the same way and extended to the new cap, and
-each mask is the all-ones row less those bits times the all-ones slot.
+Widening.  The width is set for a row cap and grows geometrically as rows
+are filled: when row m passes the cap, the cap becomes the larger of
+cap * 5/4 (rounded down) and 16, so a new table, which has no width yet,
+gets the cap 16 at its first row and a table that fills no row costs no
+width.  The rows kept so far are copied slot by slot into the wider
+slots, by byte-strided bytearray slices.  Early rows stay narrow, and only
+the few rows of the windows are copied.  The banned heights up to the cap
+are kept as one bit per slot, copied the same way and extended to the new
+cap, and each mask is the all-ones row less those bits times the all-ones
+slot.
 Only the last max(1, d, every offset) rows of each running sum and
 the last max(finite) rows of each g are kept, and no other past row: a
 table holds those windows, the banned-height masks and one count per
@@ -179,8 +181,7 @@ class DPTable:
         self._sum_flat_down = _RunSum(spec.flat_runs, 0)
         # slot n holds 1 when n <= cap is a forbidden peak / valley height
         self._peak_bits = self._valley_bits = 0
-        self._cap, self._bytes = -1, 0
-        self._set_cap(FIRST_CAP)
+        self._cap, self._bytes = -1, 0  # no width until the first row
 
     def _set_cap(self, cap: int) -> None:
         """Widen the slots to hold the rows 0..cap, and mask the heights up to cap."""
@@ -204,7 +205,7 @@ class DPTable:
         while len(self._counts) <= m:
             row = len(self._counts)
             if row > self._cap:
-                self._set_cap(self._cap * 5 // 4)
+                self._set_cap(max(self._cap * 5 // 4, FIRST_CAP))
             self._fill_row(row)
 
     def _fill_row(self, m: int) -> None:
@@ -237,12 +238,15 @@ class DPTable:
         self.ensure(n)
         return self._counts[n]
 
+    def counts(self, n: int) -> list[int]:
+        """Counts for lengths 0..n."""
+        self.ensure(n)
+        return self._counts[:n + 1]
+
 
 def sequence(spec: RestrictionSpec, n: int) -> list[int]:
     """Counts for lengths 0..n."""
-    table = DPTable(spec)
-    table.ensure(n)
-    return [table.count(m) for m in range(n + 1)]
+    return DPTable(spec).counts(n)
 
 
 def motzkin_numbers(n: int) -> list[int]:

@@ -5,8 +5,9 @@ read off each path itself, with no sharing of logic with the
 dynamic-programming or symbolic engines; this module is the ground truth
 the faster routes are validated against.  A guard refuses lengths above
 MOTZKIN_ORACLE_GUARD (default 18; any other value than a nonnegative
-integer is an error) because the enumeration is exponential; counting and
-listing check it before they build a table or generate a path.
+integer is an error) because the enumeration is exponential; counting,
+listing and the run-state counts check it before they build a table or
+generate a path.
 
 Admission reads only bitmasks.  A path's features have five slots (peak
 and valley heights, up-, down- and flat-run lengths), and bit v of a slot
@@ -35,6 +36,14 @@ length <= n reaches, so one sweep to n serves every shorter length.  Only
 the tables are cached, never the paths: the 41,835 paths of length 13 fall
 into 1,077 classes.  ``features`` and ``list_restricted`` (which filters
 ``enumerate_motzkin`` with ``admits``) are the per-path references.
+
+The run-state oracle counts the paths of one state of the run-length
+grammar on explicit paths, so each equation the grammar generates can be
+checked as a counting identity (symbolic.audit_system) without trusting
+the symbolic machinery: ``state_admits`` reads the state's kind, slot sets
+and flags by attribute off the path's runs (``_runs``, the splitter of
+``features`` too), and ``state_series`` counts the admitted paths of each
+length up to n.
 """
 
 from __future__ import annotations
@@ -117,6 +126,11 @@ class PathFeatures:
     is_flat_only: bool           # no U and no D steps (includes the empty path)
 
 
+def _runs(path: str) -> list[tuple[str, int]]:
+    """The maximal blocks of equal steps, as (step, length), in order."""
+    return [(step, sum(1 for _ in block)) for step, block in groupby(path)]
+
+
 def features(path: str) -> PathFeatures:
     heights = [0]
     for step in path:
@@ -136,8 +150,7 @@ def features(path: str) -> PathFeatures:
                 valleys.append(heights[i + 1])
 
     up_runs, down_runs, flat_runs = [], [], []
-    for step, block in groupby(path):
-        length = sum(1 for _ in block)
+    for step, length in _runs(path):
         {"U": up_runs, "D": down_runs, "F": flat_runs}[step].append(length)
 
     return PathFeatures(
@@ -237,3 +250,74 @@ def oracle_sequence(spec: RestrictionSpec, n: int) -> list[int]:
     _check_guard(n)
     forbidden = forbidden_masks(spec, n)
     return [sum(k for m, k in table if not m & forbidden) for table in class_tables(n)]
+
+
+# run states -----------------------------------------------------------------
+
+
+def _departures(path: str) -> int:
+    """Number of times the path leaves the axis with an up-step."""
+    h = 0
+    out = 0
+    for step in path:
+        if step == "U":
+            if h == 0:
+                out += 1
+            h += 1
+        elif step == "D":
+            h -= 1
+    return out
+
+
+def state_admits(sets: tuple, state, path: str) -> bool:
+    """Does the path belong to the family the run state describes?
+
+    ``sets`` holds the global forbidden up-, down- and flat-run lengths.
+    The start flags force the kind of the initial run and the end flags the
+    kind of the final run; the empty path therefore needs all four clear.
+    The initial run answers to first_up/first_flat, the final run (when the
+    path has more than one run) to last_down/last_flat, and every interior
+    run to the global sets.
+    """
+    C, D, E = sets
+    if state.kind == "H" and _departures(path) > 1:
+        return False
+    rs = _runs(path)
+    if not rs:
+        return not (state.start_up or state.start_flat or state.end_down or state.end_flat)
+    first = rs[0]
+    last = rs[-1]
+    if state.start_up and first[0] != "U":
+        return False
+    if state.start_flat and first[0] != "F":
+        return False
+    if state.end_down and last[0] != "D":
+        return False
+    if state.end_flat and last[0] != "F":
+        return False
+    if first[0] == "U" and first[1] in state.first_up:
+        return False
+    if first[0] == "F" and first[1] in state.first_flat:
+        return False
+    if len(rs) > 1:
+        if last[0] == "D" and last[1] in state.last_down:
+            return False
+        if last[0] == "F" and last[1] in state.last_flat:
+            return False
+    for kind, length in rs[1:-1]:
+        if kind == "U" and length in C:
+            return False
+        if kind == "D" and length in D:
+            return False
+        if kind == "F" and length in E:
+            return False
+    return True
+
+
+def state_series(sets: tuple, state, n: int) -> list[int]:
+    """Counting series of the run state's path family, lengths 0..n."""
+    _check_guard(n)
+    return [
+        sum(1 for p in enumerate_motzkin(k) if state_admits(sets, state, p))
+        for k in range(n + 1)
+    ]

@@ -21,9 +21,11 @@ holds its global set, so states differing only there merge.
 Each built system admits the counting series of its root state as a
 solution.  solve_system reads the equation of a peak/valley system off
 its continued-fraction chain (continued_fraction), and proves that of a
-run system by guess_and_prove: the equation is guessed from the reference
-series and proved on the grammar itself.  A run system the route declines
-gets no equation (None).
+run system by guess_and_prove: the equation is guessed from the counts of
+the spec's DP table and proved on the grammar itself.  A run system the
+route declines gets no equation (None).  Both routes read their counts
+from the one DPTable the caller passes in.  audit_system checks a built
+system on the brute-force counts of the oracle.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
 from graphlib import CycleError, TopologicalSorter
-from itertools import groupby
 from math import isqrt
 from operator import mul
 
@@ -55,7 +56,7 @@ from .algebra import (
 )
 from .guesser import HOLDOUT, GuessConfig, _series_powers, guess_algebraic, guess_linear
 from .numeric_dp import DPTable
-from .oracle import enumerate_motzkin, oracle_sequence
+from .oracle import oracle_sequence, state_series
 from .stepset import RestrictionSpec, StepSet
 
 ROOT = "P"
@@ -304,105 +305,18 @@ def build_run_system(up_runs: StepSet, down_runs: StepSet, flat_runs: StepSet) -
     return _expand(RunState("h", C, D, E, E), rule, (C, D, E))
 
 
-# state-level brute force ------------------------------------------------------
-
-# The equation builders above encode the boundary-slot grammar; the
-# functions below reimplement that grammar directly on explicit paths, so
-# every generated equation can be checked as a counting identity without
-# trusting any part of the symbolic machinery.
-
-
-def _runs_of(path: str) -> list[tuple[str, int]]:
-    return [(step, sum(1 for _ in block)) for step, block in groupby(path)]
-
-
-def _departures(path: str) -> int:
-    """Number of times the path leaves the axis with an up-step."""
-    h = 0
-    out = 0
-    for step in path:
-        if step == "U":
-            if h == 0:
-                out += 1
-            h += 1
-        elif step == "D":
-            h -= 1
-    return out
-
-
-def state_admits(sets: tuple[StepSet, StepSet, StepSet], state: RunState, path: str) -> bool:
-    """Does the path belong to the family the run state describes?
-
-    The start flags force the kind of the initial run and the end flags the
-    kind of the final run; the empty path therefore needs all four clear.
-    The initial run answers to first_up/first_flat, the final run (when the
-    path has more than one run) to last_down/last_flat, and every interior
-    run to the global sets.
-    """
-    C, D, E = sets
-    if state.kind == "H" and _departures(path) > 1:
-        return False
-    rs = _runs_of(path)
-    if not rs:
-        return not (state.start_up or state.start_flat or state.end_down or state.end_flat)
-    first = rs[0]
-    last = rs[-1]
-    if state.start_up and first[0] != "U":
-        return False
-    if state.start_flat and first[0] != "F":
-        return False
-    if state.end_down and last[0] != "D":
-        return False
-    if state.end_flat and last[0] != "F":
-        return False
-    if first[0] == "U" and first[1] in state.first_up:
-        return False
-    if first[0] == "F" and first[1] in state.first_flat:
-        return False
-    if len(rs) > 1:
-        if last[0] == "D" and last[1] in state.last_down:
-            return False
-        if last[0] == "F" and last[1] in state.last_flat:
-            return False
-    for kind, length in rs[1:-1]:
-        if kind == "U" and length in C:
-            return False
-        if kind == "D" and length in D:
-            return False
-        if kind == "F" and length in E:
-            return False
-    return True
-
-
-def state_series(sets: tuple, state: RunState, n: int) -> list[int]:
-    """Counting series of the state's path family, lengths 0..n."""
-    return [
-        sum(1 for p in enumerate_motzkin(k) if state_admits(sets, state, p))
-        for k in range(n + 1)
-    ]
-
-
-def _poly_on_series(p: MPoly, assign: dict[str, Series], order: int) -> Series:
-    total = Series.from_values([0] * order)
-    for exps, coeff in p.terms.items():
-        term = Series.from_values([coeff] + [0] * (order - 1))
-        for name, e in zip(p.ring, exps):
-            for _ in range(e):
-                term = term * assign[name]
-        total = total + term
-    return total
+# audit against brute force ---------------------------------------------------
 
 
 def audit_system(system: EquationSystem, n: int = 8) -> list[str]:
     """Variables whose materialized equation fails as a counting identity.
 
     Every state variable is replaced by the brute-force series of its state
-    (lengths 0..n) and each polynomial is evaluated; a sound construction
-    returns the empty list.  Works for both grammars.
+    (lengths 0..n: oracle_sequence for a peak/valley state, the run-state
+    oracle state_series for a run state) and each polynomial is evaluated;
+    a sound construction returns the empty list.  Works for both grammars.
     """
-    order = n + 1
-    x = Series.from_values([0, 1] + [0] * (order - 2)) if order > 1 else Series.from_values([0])
-    assign: dict[str, Series] = {BASE: x}
+    assign: dict[str, Series] = {}
     for state, name in system.var_of.items():
         if isinstance(state, PVState):
             spec = RestrictionSpec(peaks=state.peaks, valleys=state.valleys)
@@ -410,11 +324,8 @@ def audit_system(system: EquationSystem, n: int = 8) -> list[str]:
         else:
             values = state_series(system.sets, state, n)
         assign[name] = Series.from_values(values)
-    bad = []
-    for name, p in zip(system.case_of, system.polys):
-        if not _poly_on_series(p, assign, order).is_zero():
-            bad.append(name)
-    return bad
+    return [name for name, p in zip(system.case_of, system.polys)
+            if not poly_series_eval(p, assign, n + 1).is_zero()]
 
 
 class GrammarSeries:
@@ -518,25 +429,6 @@ def iterate_series(system: EquationSystem, n: int) -> list:
     return GrammarSeries(system).extend(n + 1).coeffs[system.root][: n + 1]
 
 
-# reference series ------------------------------------------------------------
-
-
-def reference_series(
-    spec: RestrictionSpec, n: int, tables: dict[RestrictionSpec, DPTable] | None = None
-) -> list[int]:
-    """Counts a(0..n) from the DP table of spec.
-
-    ``tables`` holds the DP table of each spec counted so far; a caller
-    that passes one dict to all its calls grows one table per spec instead
-    of building a new one per call.
-    """
-    tables = {} if tables is None else tables
-    table = tables.get(spec)
-    if table is None:
-        table = tables[spec] = DPTable(spec)
-    return [table.count(k) for k in range(n + 1)]
-
-
 # run systems: guess and prove -------------------------------------------------
 
 
@@ -602,36 +494,19 @@ def _grow(x: int) -> int:
     return max(x * 3 // 2, x + 4)
 
 
-def _ladder(max_p: int, max_x: int) -> list[tuple[int, int]]:
-    """Guess bounds (2, 8), (3, 12), (4, 18), ... up to (max_p, max_x).
-
-    The ladder is geometric, so each stage's series stays cheap relative to
-    the next and a low-degree answer never pays for a large bound.
-    """
-    raw = [(2, 8)]
-    cap_p, cap_x = 3, 12
-    while cap_p < max_p or cap_x < max_x:
-        raw.append((cap_p, cap_x))
-        cap_p, cap_x = cap_p + 1, _grow(cap_x)
-    raw.append((max_p, max_x))
-    stages = []
-    for cap_p, cap_x in raw:
-        stage = (max(min(cap_p, max_p), 1), max(min(cap_x, max_x), 1))
-        if stage not in stages:
-            stages.append(stage)
-    return sorted(stages)
-
-
-def _guess_at(stage: tuple[int, int], spec: RestrictionSpec, tables: dict) -> MPoly | None:
-    """guess_algebraic on the reference series at one ladder stage."""
+def _guess_at(stage: tuple[int, int], table: DPTable) -> MPoly | None:
+    """guess_algebraic on the counts of the DP table at one route stage."""
     cfg = GuessConfig(*stage)
-    values = reference_series(spec, cfg.min_terms() + 2 * HOLDOUT - 1, tables)
-    return guess_algebraic(values, cfg)
+    return guess_algebraic(table.counts(cfg.min_terms() + 2 * HOLDOUT - 1), cfg)
 
 
-# the last guess stage of the route: the answers of every fcde golden, and
-# of 14 of the 30 specs of the equation audit battery, are found by (6, 40)
-ROUTE_LAST_STAGE = (6, 40)
+# the guess bounds of the route, a geometric ladder (the x-bound grows by
+# _grow), so each stage's series stays cheap relative to the next and a
+# low-degree answer never pays for a large bound; the answers of every fcde
+# golden, and of 14 of the 30 specs of the equation audit battery, are
+# found by the last stage
+ROUTE_STAGES = ((2, 8), (3, 12), (4, 18), (5, 27), (6, 40))
+ROUTE_LAST_STAGE = ROUTE_STAGES[-1]
 # the x-degree at which the linear relations of the split variables are
 # given up; those of the specs above have x-degree at most 26
 RELATION_MAX_X = 60
@@ -724,7 +599,7 @@ def proof_holds(
         lows[v] = k, _at_origin(by_x[k], const), D * MPoly.var(rel.ring, v) - rel
     alpha = series_solve(F, [const[ROOT]], max((k for k, _, _ in lows.values()), default=0) + 1)
     for v, (k, d0, A) in lows.items():
-        value = poly_series_eval(A, alpha).coeffs
+        value = poly_series_eval(A, {ROOT: alpha}, alpha.order).coeffs
         if any(value[:k]) or value[k] != d0 * const[v]:
             return False
     d = F.degree(ROOT)
@@ -743,32 +618,26 @@ def proof_holds(
     return True
 
 
-def guess_and_prove(
-    system: EquationSystem,
-    spec: RestrictionSpec,
-    tables: dict[RestrictionSpec, DPTable] | None = None,
-) -> MPoly | None:
+def guess_and_prove(system: EquationSystem, table: DPTable) -> MPoly | None:
     """The equation of a run system by guess and proof, or None.
 
-    F is guessed from the reference series on _ladder up to
-    ROUTE_LAST_STAGE, each split variable v != P is guessed as a linear
-    relation D_v(x) * v = A_v(x, P) from the grammar series (GrammarSeries),
-    and proof_holds certifies F on the grammar itself, without an
-    eliminant.  The root's grammar series must agree with the reference
-    series on their common prefix, else the construction-bug error is
-    raised.  None means the route declines: a system GrammarSeries
+    F is guessed from the counts of ``table``, the DP table of the system's
+    spec, at each of ROUTE_STAGES in turn, each split variable v != P is
+    guessed as a linear relation D_v(x) * v = A_v(x, P) from the grammar
+    series (GrammarSeries), and proof_holds certifies F on the grammar
+    itself, without an eliminant.  The root's grammar series must agree
+    with the DP counts on their common prefix, else the construction-bug
+    error is raised.  None means the route declines: a system GrammarSeries
     refuses (peak/valley rules or a weight-zero cycle), no guess up to
     ROUTE_LAST_STAGE, no relation up to RELATION_MAX_X, or a failed check.
-    Each stage is guessed at most once.  ``tables`` is shared with
-    reference_series.
+    Each stage is guessed at most once.
     """
     try:
         engine = GrammarSeries(system)
     except SystemBuildError:
         return None
-    tables = {} if tables is None else tables
-    for stage in _ladder(*ROUTE_LAST_STAGE):
-        F = _guess_at(stage, spec, tables)
+    for stage in ROUTE_STAGES:
+        F = _guess_at(stage, table)
         if F is not None:
             break
     else:
@@ -777,7 +646,7 @@ def guess_and_prove(
     relations = _split_relations(engine, system.ring, splits, F.degree(ROOT), F.degree(BASE))
     root = engine.coeffs[system.root]
     used = GuessConfig(*stage).min_terms() + 2 * HOLDOUT
-    if root[:used] != reference_series(spec, min(len(root), used) - 1, tables):
+    if root[:used] != table.counts(min(len(root), used) - 1):
         raise _consistency_error()
     if relations is None:
         return None
@@ -820,11 +689,7 @@ def _square_root(f: MPoly) -> MPoly | None:
     return root if root * root == f else None
 
 
-def continued_fraction(
-    system: EquationSystem,
-    spec: RestrictionSpec,
-    tables: dict[RestrictionSpec, DPTable] | None = None,
-) -> MPoly:
+def continued_fraction(system: EquationSystem, table: DPTable) -> MPoly:
     """The minimal equation of a peak/valley system, read off its chain.
 
     Each rule of build_peak_valley_system is V = (a*W + b) / (c*W + d) in
@@ -855,8 +720,8 @@ def continued_fraction(
     a*P^2 + b*P + c whose discriminant is no square in Q[x] is
     irreducible, hence minimal.  Else the discriminant is s^2 with s in
     Z[x] (_square_root), and 4a*H = lo*hi for lo, hi = 2a*P + b -+ s, so
-    lo(P) = 0 or hi(P) = 0.  The reference series S of P through order
-    deg s decides which: every such order of a polynomial linear in P is
+    lo(P) = 0 or hi(P) = 0.  The DP counts S of P (``table``) through
+    order deg s decide which: every such order of a polynomial linear in P is
     exact, so if hi(S) has a nonzero coefficient, hi(P) != 0 and
     lo(P) = 0; if not, lo(S) differs from it by 2s, whose lowest nonzero
     order is at most deg s, so lo(P) != 0 and hi(P) = 0 (for s = 0 the
@@ -881,8 +746,8 @@ def continued_fraction(
         s = _square_root(q1 * q1 - 4 * q2 * q0)
         if s is not None:
             lo, hi = 2 * q2 * P + q1 - s, 2 * q2 * P + q1 + s
-            values = Series.from_values(reference_series(spec, s.degree(BASE), tables))
-            H = lo if any(poly_series_eval(hi, values).coeffs) else hi
+            S = Series.from_values(table.counts(s.degree(BASE)))
+            H = lo if any(poly_series_eval(hi, {ROOT: S}, S.order).coeffs) else hi
             H = _split_content(H, ROOT, BASE)[1]
     return canonical_bivariate(H, ROOT, BASE)
 
@@ -890,32 +755,25 @@ def continued_fraction(
 # solving ----------------------------------------------------------------------
 
 
-def solve_system(
-    system: EquationSystem,
-    spec: RestrictionSpec,
-    tables: dict[RestrictionSpec, DPTable] | None = None,
-) -> MPoly | None:
+def solve_system(system: EquationSystem, table: DPTable) -> MPoly | None:
     """The proved equation of the system: continued_fraction for a
     peak/valley system, which always answers, and guess_and_prove for a
-    run system, which may decline (None).  ``tables`` is shared with
-    reference_series."""
+    run system, which may decline (None).  ``table`` is the DP table of the
+    system's spec; both routes read their counts from it."""
     if system.case_of[system.root][0] in RUN_CASES:
-        return guess_and_prove(system, spec, tables)
-    return continued_fraction(system, spec, tables)
+        return guess_and_prove(system, table)
+    return continued_fraction(system, table)
 
 
 def fab(peaks: StepSet, valleys: StepSet) -> MPoly:
     """Equation for paths avoiding the given peak and valley heights."""
     system = build_peak_valley_system(peaks, valleys)
-    spec = RestrictionSpec(peaks=peaks, valleys=valleys)
-    return solve_system(system, spec)
+    return solve_system(system, DPTable(RestrictionSpec(peaks=peaks, valleys=valleys)))
 
 
 def fcde(up_runs: StepSet, down_runs: StepSet, flat_runs: StepSet) -> MPoly | None:
     """Equation for paths avoiding the given run lengths, or None when
     guess_and_prove declines."""
     system = build_run_system(up_runs, down_runs, flat_runs)
-    spec = RestrictionSpec(
-        up_runs=up_runs, down_runs=down_runs, flat_runs=flat_runs
-    )
-    return solve_system(system, spec)
+    spec = RestrictionSpec(up_runs=up_runs, down_runs=down_runs, flat_runs=flat_runs)
+    return solve_system(system, DPTable(spec))

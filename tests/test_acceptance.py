@@ -22,7 +22,6 @@ from motzkin_autocount import (
     oracle_sequence,
     parse_stepset,
     poly_text,
-    reference_series,
     sequence,
 )
 from motzkin_autocount.algebra import series_solve, series_vanishes
@@ -130,10 +129,10 @@ def test_criterion_09_route_agreement(fab_goldens, fcde_goldens):
         s = RestrictionSpec(
             peaks=parse_stepset(literals[0]), valleys=parse_stepset(literals[1])
         )
-        series = Series.from_values(reference_series(s, 24))
+        series = Series.from_values(sequence(s, 24))
         assert series_vanishes(F, series), name
         cfg = GuessConfig(F.degree("P"), F.degree("x"))
-        seq = reference_series(s, cfg.min_terms() + 6)
+        seq = sequence(s, cfg.min_terms() + 6)
         G = guess_algebraic(seq, cfg)
         assert G is not None and poly_text(G) == poly_text(F), name
     for name, (F, _, _, literals) in fcde_goldens.items():
@@ -169,7 +168,7 @@ def test_criterion_10_algebra_kernel_properties(fab_goldens, fcde_goldens):
                 down_runs=parse_stepset(literals[1]),
                 flat_runs=parse_stepset(literals[2]),
             )
-        ref = reference_series(s, 24)
+        ref = sequence(s, 24)
         # the finite-height equation needs the longer prefix: its derivative
         # vanishes to high order on the branch
         sol = series_solve(F, ref[:8], 25)

@@ -1,5 +1,6 @@
 """Exact polynomial kernel: arithmetic, gcds, linear algebra, series operations."""
 
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -522,10 +523,61 @@ def test_series_basics():
 
 def test_poly_series_eval_motzkin():
     s = Series.from_values(MOTZKIN_SEQ)
-    assert poly_series_eval(MOTZKIN_F, s).is_zero()
+    assert poly_series_eval(MOTZKIN_F, {"P": s}, s.order).is_zero()
     assert series_vanishes(MOTZKIN_F, s)
     assert not series_vanishes(P - 1, s)
     assert series_vanishes(P - 1, Series.from_values([1] + [0] * 7))
+
+
+def _per_term(p, values, order, base="x"):
+    """p on the series by one product per power of each variable and term:
+    the reference for poly_series_eval."""
+    x = Series.from_values([0, 1, *[0] * order][:order])
+    values = {**values, base: x}
+    total = Series.from_values([0] * order)
+    for exps, coeff in p.terms.items():
+        term = Series.from_values([coeff] + [0] * (order - 1))
+        for name, e in zip(p.ring, exps):
+            for _ in range(e):
+                term = term * values[name]
+        total = total + term
+    return total
+
+
+def test_poly_series_eval_matches_the_per_term_products():
+    rng = random.Random(5)
+    rings = [("a", "b", "x"), ("a", "x", "b"), ("a", "b", "c", "x"), ("x", "b", "a", "c")]
+    for trial in range(120):
+        ring = rng.choice(rings)
+        order = rng.randint(1, 8)
+        rational = trial % 2  # int coefficients, or Fraction ones
+
+        def coeff():
+            c = rng.randint(-9, 9)
+            return Fraction(c, rng.randint(1, 5)) if rational else c
+
+        terms = {tuple(rng.randint(0, 3) for _ in ring): coeff() for _ in range(rng.randint(0, 7))}
+        p = MPoly(ring, terms)
+        values = {v: Series.from_values([coeff() for _ in range(order + rng.randint(0, 2))])
+                  for v in ring if v != "x"}
+        got = poly_series_eval(p, values, order)
+        assert got == _per_term(p, values, order), (ring, terms)
+        assert got.order == order
+
+
+def test_poly_series_eval_needs_a_series_for_each_used_variable():
+    ring = make_ring("a", "b", "x")
+    g = gens(ring)
+    p = g["a"] * g["b"] + g["x"]
+    s = Series.from_values([1, 2, 3])
+    with pytest.raises(AlgebraError, match="b"):
+        poly_series_eval(p, {"a": s}, 3)
+    # a series for a variable p does not use changes nothing
+    q = g["a"] ** 2 - g["x"] * g["a"] + 1
+    want = poly_series_eval(q, {"a": s}, 3)
+    assert want == _per_term(q, {"a": s, "b": s}, 3)
+    assert poly_series_eval(q, {"a": s, "b": Series.from_values([5, 0, 7])}, 3) == want
+    assert poly_series_eval(q, {"a": s, "b": s, "c": s}, 3) == want
 
 
 def test_series_solve_motzkin_branch():

@@ -7,7 +7,6 @@ import pytest
 from motzkin_autocount import (
     cli,
     enumerate_motzkin,
-    motzkin_numbers,
     numeric_dp,
     symbolic,
 )
@@ -144,13 +143,13 @@ def test_guess_not_found_exit_code(run_cli):
 def test_guess_is_checked_past_the_fitted_prefix(run_cli, monkeypatch):
     # Motzkin numbers with a(33) corrupted: the quadratic fits a(0..30) and
     # must be refused on the fresh terms after them
-    def corrupted(spec, n, tables=None):
-        values = motzkin_numbers(max(n, 33))
-        values[33] += 1
-        return values[:n + 1]
+    class Corrupted(numeric_dp.DPTable):
+        def counts(self, n):
+            values = super().counts(max(n, 33))
+            values[33] += 1
+            return values[:n + 1]
 
-    monkeypatch.setattr(cli, "reference_series", corrupted)
-    monkeypatch.setattr(symbolic, "reference_series", corrupted)
+    monkeypatch.setattr(cli, "DPTable", Corrupted)
     rc, out, err = run_cli("guess", "--N", "30", "--maxp", "2", "--maxx", "2")
     assert (rc, out) == (3, "NOT_FOUND\n")
     assert "failed on fresh terms" in err
@@ -164,11 +163,11 @@ def test_guess_counts_height_zero_specs_without_the_oracle(run_cli, refuse_paths
 
 
 def test_guess_insufficient_terms(run_cli, monkeypatch):
-    # refused before the DP: the sequence is never built
+    # refused before the DP: no table is built
     def refuse(*args, **kwargs):
-        raise AssertionError("reference_series called for impossible bounds")
+        raise AssertionError("DP table built for impossible bounds")
 
-    monkeypatch.setattr(cli, "reference_series", refuse)
+    monkeypatch.setattr(cli, "DPTable", refuse)
     rc, _, err = run_cli("guess", "--N", "6", "--maxp", "4", "--maxx", "4")
     assert rc == 1
     assert "need at least 30 terms for bounds (4,4), got 7" in err
@@ -265,13 +264,17 @@ def test_verify_run_lengths(run_cli):
 
 def test_verify_tests_run_systems_on_the_grammar_series(run_cli, monkeypatch):
     # the second check reads iterate_series, not the DP series that the
-    # derivation already used
-    def refuse(*args, **kwargs):
-        raise AssertionError("verify read the DP series for a run system")
+    # derivation already used: one wrong grammar term fails it
+    iterate = cli.iterate_series
 
-    monkeypatch.setattr(cli, "reference_series", refuse)
+    def wrong(system, n):
+        values = iterate(system, n)
+        values[5] += 1
+        return values
+
+    monkeypatch.setattr(cli, "iterate_series", wrong)
     rc, out, _ = run_cli("verify", "--C", "{1,2,3}", "--N", "12")
-    assert (rc, out) == (0, "PASS,PASS\n")
+    assert (rc, out) == (2, "PASS,FAIL\n")
 
 
 def test_guess_and_verify_build_one_dp_table(run_cli, monkeypatch):

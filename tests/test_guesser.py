@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motzkin_autocount import (
+    DPTable,
     GuessConfig,
     RestrictionSpec,
     guess_algebraic,
@@ -133,8 +134,8 @@ def test_non_integer_prefixes_take_the_exact_path():
 
 
 def test_verify_guess():
-    assert verify_guess(MOTZKIN_F, RestrictionSpec(), 30)
-    assert not verify_guess(P - 1, RestrictionSpec(), 10)
+    assert verify_guess(MOTZKIN_F, DPTable(RestrictionSpec()), 30)
+    assert not verify_guess(P - 1, DPTable(RestrictionSpec()), 10)
 
 
 @settings(max_examples=80)

@@ -102,6 +102,8 @@ RUNS = st.frozensets(st.integers(1, 3), max_size=2).map(_text)
 @example(("{0}", "{}"), "{}", "{}", "{1}")
 @example(("{}", "{0}"), "{1}", "{}", "{}")
 @example(("{0}", "{0}"), "{}", "{}", "{2}")
+@example(("{0,1}", "{}"), "{}", "{}", "{}")
+@example(("{2}", "{2*r}"), "{}", "{}", "{}")
 def test_height_zero_specs_match_oracle(heights, c, d, e):
     # the path start forms no valley, and the flat-only path is the one
     # whose peak lies at height 0

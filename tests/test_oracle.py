@@ -7,7 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from motzkin_autocount import (
+    EMPTY,
     RestrictionSpec,
+    RunState,
     count_restricted,
     enumerate_motzkin,
     features,
@@ -26,6 +28,7 @@ from motzkin_autocount.oracle import (
     is_motzkin,
     motzkin_paths,
     oracle_guard,
+    state_series,
 )
 
 ODD = parse_stepset("{2*r+1}")
@@ -160,6 +163,16 @@ def test_oracle_sequence_checks_the_guard_before_enumerating(monkeypatch, refuse
     with pytest.raises(OracleGuardError):
         oracle_sequence(spec(), 12)
     assert (enumerate_motzkin.cache_info(), class_tables.cache_info()) == before
+
+
+def test_state_series_checks_the_guard_before_enumerating(monkeypatch, refuse_paths):
+    monkeypatch.setenv("MOTZKIN_ORACLE_GUARD", "5")
+    sets = (parse_stepset("{2}"), parse_stepset("{1}"), EMPTY)
+    root = RunState("h", *sets, EMPTY)
+    before = enumerate_motzkin.cache_info()
+    with pytest.raises(OracleGuardError):
+        state_series(sets, root, 6)
+    assert enumerate_motzkin.cache_info() == before
 
 
 def test_oracle_sequence_builds_every_length_in_one_sweep(monkeypatch):

@@ -18,7 +18,6 @@ from motzkin_autocount import (
     oracle_sequence,
     parse_stepset,
     poly_text,
-    reference_series,
     sequence,
 )
 from motzkin_autocount.algebra import (
@@ -30,6 +29,8 @@ from motzkin_autocount.algebra import (
     poly_series_eval,
     series_vanishes,
 )
+from motzkin_autocount.numeric_dp import DPTable
+from motzkin_autocount.oracle import state_series
 from motzkin_autocount import algebra, symbolic
 from motzkin_autocount.symbolic import (
     BASE,
@@ -45,7 +46,6 @@ from motzkin_autocount.symbolic import (
     guess_and_prove,
     iterate_series,
     proof_holds,
-    state_series,
 )
 
 ONE = parse_stepset("{1}")
@@ -242,7 +242,7 @@ def test_solved_equations_vanish_on_reference_series(fab_goldens, fcde_goldens):
                 down_runs=parse_stepset(literals[1]),
                 flat_runs=parse_stepset(literals[2]),
             )
-        series = Series.from_values(reference_series(spec, 24))
+        series = Series.from_values(sequence(spec, 24))
         assert series_vanishes(F, series), name
 
 
@@ -276,37 +276,28 @@ def test_collapse_by_blocks_matches_the_whole_matrix(monkeypatch):
 
 
 def test_one_dp_table_per_spec_in_a_derivation(monkeypatch):
-    built = []
+    built, filled = [], []
 
-    class CountingTable(symbolic.DPTable):
+    class CountingTable(DPTable):
         def __init__(self, spec):
             built.append(spec)
             super().__init__(spec)
+
+        def ensure(self, m):
+            filled.append(m)
+            super().ensure(m)
 
     monkeypatch.setattr(symbolic, "DPTable", CountingTable)
     # the chain reads DP terms only to pick a linear factor of a quadratic
     F = fab(ODD, ODD)
     assert poly_text(F) == "x^4*P^2 + (x^3-3*x^2+3*x-1)*P + x^2 - 2*x + 1"
-    assert built == []
+    assert (built, filled) == ([RestrictionSpec(peaks=ODD, valleys=ODD)], [])
+    built.clear()
     assert poly_text(fab(R2, R2)) == "(2*x-1)*P - x + 1"
-    assert built == [RestrictionSpec(peaks=R2, valleys=R2)]
+    assert built == [RestrictionSpec(peaks=R2, valleys=R2)] and filled
     built.clear()
     assert poly_text(fcde(ODD, ODD, ODD)) == "x^4*P^2 + (x^2-1)*P + 1"
     assert built == [run_spec(ODD, ODD, ODD)]
-
-
-def test_reference_series_grows_the_table_it_is_given():
-    spec = run_spec(ONE, EMPTY, ONE)
-    tables = {}
-    assert reference_series(spec, 8, tables) == sequence(spec, 8)
-    table = tables[spec]
-    assert reference_series(spec, 20, tables) == sequence(spec, 20)
-    assert tables == {spec: table}
-    # a height-0 spec keeps its own table
-    zero = RestrictionSpec(peaks=parse_stepset("{0}"))
-    tables = {}
-    assert reference_series(zero, 10, tables) == oracle_sequence(zero, 10)
-    assert list(tables) == [zero]
 
 
 def test_iterate_series_matches_dp_on_mixed_examples():
@@ -316,35 +307,13 @@ def test_iterate_series_matches_dp_on_mixed_examples():
         assert audit_system(system) == []
 
 
-# reference series on height 0 --------------------------------------------------
-
-
-def test_reference_series_handles_height_zero_peaks():
-    spec = RestrictionSpec(peaks=parse_stepset("{0}"))
-    assert reference_series(spec, 10) == oracle_sequence(spec, 10)
-    spec2 = RestrictionSpec(peaks=parse_stepset("{0,1}"))
-    assert reference_series(spec2, 10) == oracle_sequence(spec2, 10)
-
-
-def test_reference_series_handles_height_zero_valleys():
-    spec = RestrictionSpec(valleys=parse_stepset("{0}"))
-    assert reference_series(spec, 10) == oracle_sequence(spec, 10)
-    spec2 = RestrictionSpec(peaks=parse_stepset("{2}"), valleys=parse_stepset("{2*r}"))
-    assert reference_series(spec2, 10) == oracle_sequence(spec2, 10)
-
-
-def test_reference_series_plain_case_is_the_dp():
-    spec = run_spec(ONE, EMPTY, ONE)
-    assert reference_series(spec, 12) == sequence(spec, 12)
-
-
 def test_solve_system_rejects_nothing_but_failed_certificates(fcde_goldens):
     # the solver's certificate is internal; this pins the public contract
     # that every returned polynomial annihilates its own counting series
     F, _, _, _ = fcde_goldens["all_odd"]
     spec = run_spec(ODD, ODD, ODD)
     s = Series.from_values(sequence(spec, 30))
-    assert poly_series_eval(F, s).is_zero()
+    assert poly_series_eval(F, {ROOT: s}, s.order).is_zero()
 
 
 # order-by-order grammar series -------------------------------------------------
@@ -451,7 +420,7 @@ ALL_ONES_TEXT = (
 
 def _route(literals):
     sets = [parse_stepset(t) for t in literals]
-    return guess_and_prove(build_run_system(*sets), run_spec(*sets))
+    return guess_and_prove(build_run_system(*sets), DPTable(run_spec(*sets)))
 
 
 def test_route_proves_the_fcde_goldens(fcde_goldens):
@@ -474,7 +443,7 @@ def test_the_route_refuses_an_inconsistent_grammar():
     got, want = iterate_series(bad, 4), sequence(run_spec(ONE, ONE, ONE), 4)
     assert got[:4] == want[:4] and got[4] != want[4]
     with pytest.raises(RuntimeError, match="inconsistent"):
-        guess_and_prove(bad, run_spec(ONE, ONE, ONE))
+        guess_and_prove(bad, DPTable(run_spec(ONE, ONE, ONE)))
 
 
 def test_the_route_declines_systems_without_series_before_guessing(monkeypatch):
@@ -483,7 +452,7 @@ def test_the_route_declines_systems_without_series_before_guessing(monkeypatch):
 
     monkeypatch.setattr(symbolic, "_guess_at", no_guess)
     pv = build_peak_valley_system(ODD, EMPTY)
-    assert guess_and_prove(pv, RestrictionSpec(peaks=ODD)) is None
+    assert guess_and_prove(pv, DPTable(RestrictionSpec(peaks=ODD))) is None
 
 
 def test_no_stage_is_guessed_twice(monkeypatch):
@@ -660,7 +629,7 @@ def test_the_chain_gives_minimal_equations():
         F = fab(peaks, valleys)
         n = 2 * F.degree(BASE) + 12
         spec = RestrictionSpec(peaks=peaks, valleys=valleys)
-        series = Series.from_values(reference_series(spec, n))
+        series = Series.from_values(sequence(spec, n))
         assert series_vanishes(F, series), (A, B)
         assert _split_content(F, ROOT, BASE)[0].is_constant(), (A, B)  # content 1 in x
         assert F.degree(ROOT) in (1, 2), (A, B)
