@@ -54,7 +54,14 @@ from .algebra import (
     primitive_part,
     series_solve,
 )
-from .guesser import HOLDOUT, GuessConfig, _series_powers, guess_algebraic, guess_linear
+from .guesser import (
+    HOLDOUT,
+    SAFETY_MARGIN,
+    GuessConfig,
+    _series_powers,
+    guess_algebraic,
+    guess_linear,
+)
 from .numeric_dp import DPTable
 from .oracle import oracle_sequence, state_series
 from .stepset import RestrictionSpec, StepSet
@@ -494,10 +501,17 @@ def _grow(x: int) -> int:
     return max(x * 3 // 2, x + 4)
 
 
+def _stage_terms(stage: tuple[int, int]) -> int:
+    """The terms guessed from at one route stage: the unknowns, plus
+    SAFETY_MARGIN and two HOLDOUTs, which covers the stage's dP orders of
+    truncation headroom."""
+    dp, dx = stage
+    return (dp + 1) * (dx + 1) + SAFETY_MARGIN + 2 * HOLDOUT
+
+
 def _guess_at(stage: tuple[int, int], table: DPTable) -> MPoly | None:
     """guess_algebraic on the counts of the DP table at one route stage."""
-    cfg = GuessConfig(*stage)
-    return guess_algebraic(table.counts(cfg.min_terms() + 2 * HOLDOUT - 1), cfg)
+    return guess_algebraic(table.counts(_stage_terms(stage) - 1), GuessConfig(*stage))
 
 
 # the guess bounds of the route, a geometric ladder (the x-bound grows by
@@ -631,6 +645,29 @@ def guess_and_prove(system: EquationSystem, table: DPTable) -> MPoly | None:
     refuses (peak/valley rules or a weight-zero cycle), no guess up to
     ROUTE_LAST_STAGE, no relation up to RELATION_MAX_X, or a failed check.
     Each stage is guessed at most once.
+
+    Why a proved F is minimal.  Let M be the minimal polynomial of P over
+    Q(x), primitive in Z[x][P].  F(x, P) = 0, so M divides F in Q(x)[P],
+    and by Gauss's lemma in Q[x][P]; degrees in P and in x add under
+    products, so M's pair (deg_P M, deg_x M) is at most F's pair in both.
+    guess_algebraic tries its pairs by dP + dX, so M's pair comes no later
+    than F's at F's stage, and with at least F's headroom, so it was tried
+    there.  The counts are exact, so M's coefficients are a nonzero null
+    vector of that pair's fit rows and vanish on its held-out rows.  The
+    pair was therefore not ruled out by full rank modulo the prime (which
+    implies full rank over Q, nullspace {0}), nor by _held_out_independent
+    (which proves that no nonzero exact null vector passes the held-out
+    rows), nor, when its nullspace is one-dimensional, by its one vector
+    failing the held-out rows, as that vector is a multiple of M.  So a
+    guess was returned at M's pair or before it.  The route takes the
+    first guess it is given and never moves past it: a false one fails
+    proof_holds and the route declines.  So F's pair is M's pair, F is a
+    rational multiple of M, and canonical_bivariate fixes the multiple.
+    The argument leaves one case open: if M's pair has a nullspace of
+    dimension 2 or more, guess_algebraic tests only the basis vectors it
+    holds (and of the lifted ones, only those that re-verify), so when
+    each of them fails the held-out rows the pair is passed over, though
+    M, a combination of them, would pass.
     """
     try:
         engine = GrammarSeries(system)
@@ -645,7 +682,7 @@ def guess_and_prove(system: EquationSystem, table: DPTable) -> MPoly | None:
     splits = [r[1] for r in system.case_of.values() if r[0] == "split" and r[1] != system.root]
     relations = _split_relations(engine, system.ring, splits, F.degree(ROOT), F.degree(BASE))
     root = engine.coeffs[system.root]
-    used = GuessConfig(*stage).min_terms() + 2 * HOLDOUT
+    used = _stage_terms(stage)
     if root[:used] != table.counts(min(len(root), used) - 1):
         raise _consistency_error()
     if relations is None:

@@ -170,7 +170,18 @@ def test_guess_insufficient_terms(run_cli, monkeypatch):
     monkeypatch.setattr(cli, "DPTable", refuse)
     rc, _, err = run_cli("guess", "--N", "6", "--maxp", "4", "--maxx", "4")
     assert rc == 1
-    assert "need at least 30 terms for bounds (4,4), got 7" in err
+    assert "need at least 34 terms for bounds (4,4), got 7" in err
+
+
+def test_guess_counts_the_truncation_headroom(run_cli):
+    # the top pair (2, 2) is tried on the n - 2 orders the truncated P^2
+    # keeps, so the Motzkin equation needs 9 + 5 + 2 = 16 terms
+    for N in (13, 14):
+        rc, out, err = run_cli("guess", "--N", str(N), "--maxp", "2", "--maxx", "2")
+        assert (rc, out) == (1, "")
+        assert f"need at least 16 terms for bounds (2,2), got {N + 1}" in err
+    rc, out, _ = run_cli("guess", "--N", "15", "--maxp", "2", "--maxx", "2")
+    assert (rc, out) == (0, "x^2*P^2 + (x-1)*P + 1\n")
 
 
 def test_fab_default_is_motzkin(run_cli):

@@ -1,4 +1,4 @@
-"""Sequence-to-equation guessing: minimality, holdout, modular sieve and its null vectors."""
+"""Sequence-to-equation guessing: minimality, holdout, modular order basis and its null vectors."""
 
 from fractions import Fraction
 
@@ -21,13 +21,16 @@ from motzkin_autocount import guesser
 from motzkin_autocount.guesser import (
     GUESS_RING,
     HOLDOUT,
+    LAZY_FOLDS,
     SAFETY_MARGIN,
     SIEVE_PRIME,
-    _ColumnSieve,
+    SLOT_BITS,
+    _OrderBasis,
+    _fit_cols,
     _fit_rows,
     _pair_schedule,
     _rational_from_residue,
-    _sieve_cols,
+    _unpack,
     guess_linear,
 )
 from motzkin_autocount.algebra import MPoly
@@ -68,6 +71,8 @@ def test_linear_relation_of_least_x_degree():
     assert [[Fraction(c) / scale for c in cs] for cs in rel] == [[1, 0, 0], [-1, 1, 0], [0, 0, 1]]
     # M is not rational: no relation with M as the last series takes part
     assert guess_linear([ones, m]) is None
+    # 6 terms leave no x-degree: 3 unknowns at dx = 0 need 3 + SAFETY_MARGIN
+    assert guess_linear([ones[:6], m[:6], square[:6]]) is None
 
 
 def test_odd_height_spec_from_40_terms():
@@ -83,7 +88,7 @@ def test_no_relation_within_bounds_returns_none():
 
 
 def test_insufficient_terms_is_an_error():
-    with pytest.raises(ValueError, match=r"need at least 30 terms for bounds \(4,4\), got 13"):
+    with pytest.raises(ValueError, match=r"need at least 34 terms for bounds \(4,4\), got 13"):
         guess_algebraic(motzkin_numbers(12), GuessConfig(4, 4))
     with pytest.raises(ValueError):
         GuessConfig(-1, 2)
@@ -127,7 +132,7 @@ def test_held_out_rows_modulo_the_prime_reject_without_the_exact_nullspace():
 
 
 def test_non_integer_prefixes_take_the_exact_path():
-    # halved geometric sequence: (2x-2)P + 1 = 0, unreachable by the sieve
+    # halved geometric sequence: (2x-2)P + 1 = 0, unreachable modulo the prime
     values = [Fraction(1, 2)] * 12
     F = guess_algebraic(values, GuessConfig(1, 1))
     assert poly_text(F) == "(2*x-2)*P + 1"
@@ -154,7 +159,7 @@ def test_rational_reconstruction_rejects_oversized_values():
     assert got is None or got != Fraction(big)
 
 
-# incremental rank sieve -------------------------------------------------------
+# modular order basis ----------------------------------------------------------
 
 
 def full_rank_mod_p(rows, ncols):
@@ -184,9 +189,9 @@ def truncated_powers(values, top):
 
 def fit_matrix(values, dp, dx):
     """The pair's fit rows, orders below n - dp - HOLDOUT, built directly,
-    with the columns in the sieve's order."""
+    with the columns in the order basis's order."""
     powers = truncated_powers(values, dp)
-    cols = _sieve_cols(dp, dx)
+    cols = _fit_cols(dp, dx)
     nfit = len(values) - dp - HOLDOUT
     return _fit_rows(powers, cols, 0, nfit), len(cols)
 
@@ -242,9 +247,9 @@ def test_sieve_verdicts_match_a_from_scratch_rank(values, max_p, max_x):
     n = len(values)
     pow_mod = [[c % SIEVE_PRIME for c in row] for row in truncated_powers(values, max_p)]
     for dp in range(1, max_p + 1):
-        sieve = _ColumnSieve(pow_mod, dp, n - dp - HOLDOUT)
+        basis = _OrderBasis(pow_mod, dp, n - dp - HOLDOUT, max_x)
         for dx in range(max_x + 1):
-            got = sieve.null_vectors(dx)
+            got = basis.null_vectors(dx)
             assert (not got) == full_rank_mod_p(*fit_matrix(values, dp, dx)), (dp, dx)
             ncols = (dp + 1) * (dx + 1)
             padded = [v + [0] * (ncols - len(v)) for v in got]
@@ -264,30 +269,85 @@ def test_sieve_null_vectors_on_extreme_residues_with_many_fit_rows(dp, nfit, dat
     rows = data.draw(st.lists(st.lists(EXTREME_RESIDUES, min_size=nfit, max_size=nfit),
                               min_size=dp + 1, max_size=dp + 1))
     max_dx = (nfit + 4) // (dp + 1)
-    cols = _sieve_cols(dp, max_dx)
+    cols = _fit_cols(dp, max_dx)
     # the reduced row echelon form of a prefix of the columns is the prefix
     # of the full one, so the basis at each dx is read off the full basis:
     # the vectors of the free columns below (dp+1)(dx+1), which have no
     # entry from there on, cut there
     full = nullspace_mod_p(_fit_rows(rows, cols, 0, nfit), len(cols))
-    sieve = _ColumnSieve(rows, dp, nfit)
+    basis = _OrderBasis(rows, dp, nfit, max_dx)
     for dx in range(max_dx + 1):
         ncols = (dp + 1) * (dx + 1)
         want = [v[:ncols] for v in full if not any(v[ncols:])]
-        got = [v + [0] * (ncols - len(v)) for v in sieve.null_vectors(dx)]
+        got = [v + [0] * (ncols - len(v)) for v in basis.null_vectors(dx)]
         assert got == want, (dp, nfit, dx)
 
 
 def test_sieve_slots_hold_the_longest_run_of_largest_updates():
-    # with dx = 0 the sieve's columns are its rows as given: 149 pivot
-    # columns e_k + (p - 1) e_149 on 150 fit rows, then their sum, which
-    # is reduced to 0 by 149 updates of (p - 1)^2 each to its last fit row,
-    # taking that slot past 128 bits; its null vector is (p - 1, ..., p - 1, 1)
+    # with dx = 0 the basis's columns are its rows as given: 149 pivot
+    # rows e_k + (p - 1) e_149 on 150 fit rows, then their sum, which is
+    # reduced to 0 by 149 updates of (p - 1)^2 each to its last fit row,
+    # folded between runs of LAZY_FOLDS; its null vector is
+    # (p - 1, ..., p - 1, 1)
     p, nfit = SIEVE_PRIME, 150
     rows = [[1 if r == k else p - 1 if r == nfit - 1 else 0 for r in range(nfit)]
             for k in range(nfit - 1)]
     rows.append([1] * (nfit - 1) + [p - (nfit - 1)])
-    assert _ColumnSieve(rows, nfit - 1, nfit).null_vectors(0) == [[p - 1] * (nfit - 1) + [1]]
+    assert _OrderBasis(rows, nfit - 1, nfit, 0).null_vectors(0) == [[p - 1] * (nfit - 1) + [1]]
+
+
+def test_a_slot_takes_the_most_lazy_updates_without_a_carry(monkeypatch):
+    # as above with LAZY_FOLDS pivot rows: the last row takes LAZY_FOLDS
+    # updates of (p - 1)^2 to one slot before its fold, and the order
+    # above that slot is 0, so a carry out of the slot would leave the row
+    # nonzero there and no null vector
+    p, lazy = SIEVE_PRIME, LAZY_FOLDS
+    rows = [[1 if r == k else p - 1 if r == lazy else 0 for r in range(lazy + 2)]
+            for k in range(lazy)]
+    rows.append([1] * lazy + [p - lazy, 0])
+    seen = []
+    fold = _OrderBasis._fold
+
+    def spy(self, v):
+        seen.extend(_unpack(v, -(-v.bit_length() // SLOT_BITS)))
+        return fold(self, v)
+
+    monkeypatch.setattr(_OrderBasis, "_fold", spy)
+    assert _OrderBasis(rows, lazy, lazy + 2, 0).null_vectors(0) == [[p - 1] * lazy + [1]]
+    assert max(seen) == p - lazy + lazy * (p - 1) ** 2 < 1 << SLOT_BITS
+
+
+def test_order_basis_on_a_long_prefix_with_several_null_vectors():
+    # all-{1} counts: the quartic has x-degree 16, so the pair (4, dx) has
+    # dx - 15 null vectors for dx = 16..20
+    ones = RestrictionSpec(up_runs=parse_stepset("{1}"), down_runs=parse_stepset("{1}"),
+                           flat_runs=parse_stepset("{1}"))
+    values = sequence(ones, 125)
+    dp, n = 4, len(values)
+    pow_mod = [[c % SIEVE_PRIME for c in row] for row in truncated_powers(values, dp)]
+    basis = _OrderBasis(pow_mod, dp, n - dp - HOLDOUT, 20)
+    full = nullspace_mod_p(*fit_matrix(values, dp, 20))
+    for dx in range(16, 21):
+        ncols = (dp + 1) * (dx + 1)
+        want = [v[:ncols] for v in full if not any(v[ncols:])]
+        got = [v + [0] * (ncols - len(v)) for v in basis.null_vectors(dx)]
+        assert len(got) == dx - 15
+        assert got == want, dx
+    assert basis.null_vectors(15) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEQUENCES, st.integers(1, 3), st.integers(0, 6))
+def test_a_bounded_basis_reads_the_same_vectors_as_an_unbounded_one(values, max_p, bound):
+    n = len(values)
+    pow_mod = [[c % SIEVE_PRIME for c in row] for row in truncated_powers(values, max_p)]
+    for dp in range(1, max_p + 1):
+        nfit = n - dp - HOLDOUT
+        bounded = _OrderBasis(pow_mod, dp, nfit, bound)
+        # no row's degree passes nfit, the number of orders
+        unbounded = _OrderBasis(pow_mod, dp, nfit, max(nfit, bound))
+        for dx in range(bound + 1):
+            assert bounded.null_vectors(dx) == unbounded.null_vectors(dx), (dp, dx)
 
 
 @settings(max_examples=60, deadline=None)
@@ -332,7 +392,7 @@ def test_sieve_settles_the_pairs_without_a_relation():
         # no relation within (3, 24): every pair has full rank mod the prime
         assert guess_algebraic(sequence(ones, 125), GuessConfig(3, 24)) is None
         # under loose bounds the quadratic's pair is rank deficient, and its
-        # null vector comes lifted from the sieve
+        # null vector comes lifted from the order basis
         F = guess_algebraic(motzkin_numbers(29), GuessConfig(3, 3))
         assert poly_text(F) == "x^2*P^2 + (x-1)*P + 1"
     assert reductions == []
